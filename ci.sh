@@ -171,8 +171,8 @@ import json, sys
 with open(sys.argv[1]) as fh:
     report = json.load(fh)
 
-if report["schema_version"] != 2:
-    sys.exit(f"obs smoke: expected schema_version 2, got {report['schema_version']}")
+if report["schema_version"] != 3:
+    sys.exit(f"obs smoke: expected schema_version 3, got {report['schema_version']}")
 if report["open_spans"] != 0:
     sys.exit(f"obs smoke: {report['open_spans']} span(s) left open at exit")
 
@@ -186,6 +186,14 @@ for span in report["spans"]:
             sys.exit(f"obs smoke: span {span['path']!r} missing v2 field {field!r}")
     if span["p50_ms"] > span["p999_ms"]:
         sys.exit(f"obs smoke: span {span['path']!r} has p50 > p999")
+# Schema v3: every histogram is a count plus HDR percentiles.
+if not report["histograms"]:
+    sys.exit("obs smoke: no histograms recorded")
+for name, hist in report["histograms"].items():
+    if "count" not in hist:
+        sys.exit(f"obs smoke: histogram {name!r} has no count")
+    if hist["p50"] > hist["p99"]:
+        sys.exit(f"obs smoke: histogram {name!r} has p50 > p99")
 
 requests = report["requests"]
 for required in ("session.explain", "session.verify"):

@@ -7,6 +7,12 @@
 
 pub use serde::{Error, Value};
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream serde_json's
+/// default). The parser recurses once per level, so without a bound a
+/// small hostile input (`[[[[…`) overflows the stack; past the limit the
+/// parse fails with an [`Error`] instead.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serializes a value to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -33,7 +39,7 @@ pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
 
 /// Parses JSON text into any deserializable value.
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -131,6 +137,8 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -172,11 +180,12 @@ impl<'a> Parser<'a> {
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
             Some(b'[') => {
-                self.pos += 1;
+                self.open_container()?;
                 let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Array(items));
                 }
                 loop {
@@ -188,6 +197,7 @@ impl<'a> Parser<'a> {
                         }
                         Some(b']') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Value::Array(items));
                         }
                         _ => {
@@ -200,11 +210,12 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'{') => {
-                self.pos += 1;
+                self.open_container()?;
                 let mut fields = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Object(fields));
                 }
                 loop {
@@ -221,6 +232,7 @@ impl<'a> Parser<'a> {
                         }
                         Some(b'}') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Value::Object(fields));
                         }
                         _ => {
@@ -239,6 +251,20 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::custom("unexpected end of input")),
         }
+    }
+
+    /// Steps over a `[` or `{`, refusing to open more than [`MAX_DEPTH`]
+    /// containers; the matching close decrements `depth`.
+    fn open_container(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "recursion limit exceeded: more than {MAX_DEPTH} nested arrays/objects at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
@@ -399,6 +425,21 @@ mod tests {
         let v = json!({ "a": 1u32, "b": vec![1.0f64, 2.0], "c": "s" });
         assert_eq!(v.get_field("a"), Some(&Value::U64(1)));
         assert_eq!(to_string(&json!(null)).unwrap(), "null");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&objects).is_err());
+        // 200k unclosed brackets on a default-stack thread: an error, not an
+        // aborting stack overflow
+        let hostile = "[".repeat(200_000);
+        let handle = std::thread::spawn(move || from_str::<Value>(&hostile).is_err());
+        assert!(handle.join().unwrap());
     }
 
     #[test]

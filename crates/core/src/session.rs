@@ -22,11 +22,14 @@
 //!   of the distributed driver (each shard summarizes locally; the
 //!   coordinator merges in shard order).
 //!
-//! Determinism: the per-graph influence memo is keyed by the same content
-//! fingerprint the trace cache uses *plus the graph index*, because the
-//! analysis RNG is seeded `cfg.seed ^ graph_index`. A memo hit therefore
-//! returns exactly the analysis a recomputation would produce, and every
-//! driver yields bitwise-identical views whether caches are cold or warm.
+//! Determinism: the per-graph influence memo is keyed by everything the
+//! analysis depends on — the content fingerprint the trace cache uses, the
+//! graph index (the analysis RNG is seeded `cfg.seed ^ graph_index`), and
+//! the configuration's θ, r, γ, influence mode and seed. A memo hit
+//! therefore returns exactly the analysis a recomputation would produce,
+//! even when sessions with different configurations share one cache set,
+//! and every driver yields bitwise-identical views whether caches are cold
+//! or warm.
 
 use crate::config::{ConfigError, Configuration};
 use crate::psum::{coverage_stats, psum};
@@ -36,6 +39,7 @@ use crate::view::{ExplanationSubgraph, ExplanationView, ExplanationViewSet};
 use gvex_gnn::{graph_fingerprint, ForwardTrace, GcnModel, TraceCache};
 use gvex_graph::{Graph, GraphDatabase, NodeId};
 use gvex_influence::analysis::InfluenceAnalysis;
+use gvex_influence::InfluenceMode;
 use gvex_iso::vf2::are_isomorphic;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,10 +60,23 @@ pub struct SessionCaches {
 }
 
 struct InfluenceMemo {
-    map: HashMap<(u64, usize), Arc<InfluenceAnalysis>>,
+    map: HashMap<InfluenceKey, Arc<InfluenceAnalysis>>,
     /// FIFO insertion order for bounded eviction.
-    order: VecDeque<(u64, usize)>,
+    order: VecDeque<InfluenceKey>,
     capacity: usize,
+}
+
+/// Everything an [`InfluenceAnalysis`] depends on besides the model (a
+/// cache set serves one model). Floats are keyed by their bit patterns.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct InfluenceKey {
+    fingerprint: u64,
+    graph_index: usize,
+    theta: u32,
+    r: u32,
+    gamma: u32,
+    mode: InfluenceMode,
+    seed: u64,
 }
 
 impl SessionCaches {
@@ -198,12 +215,22 @@ impl<'m> ExplainSession<'m> {
 
     /// Memoized per-graph influence analysis (Jacobian + diversity state).
     ///
-    /// Keyed by `(content fingerprint, graph_index)`: the analysis RNG is
-    /// seeded `cfg.seed ^ graph_index`, so two structurally identical
-    /// graphs at different database positions keep distinct entries and a
-    /// hit is bitwise identical to a recomputation.
+    /// Keyed by content fingerprint, `graph_index` and the configuration's
+    /// θ, r, γ, influence mode and seed: the analysis RNG is seeded
+    /// `cfg.seed ^ graph_index`, so two structurally identical graphs at
+    /// different database positions keep distinct entries, sessions with
+    /// different configurations never see each other's analyses, and a hit
+    /// is bitwise identical to a recomputation.
     pub fn influence(&self, g: &Graph, graph_index: usize) -> Arc<InfluenceAnalysis> {
-        let key = (graph_fingerprint(g), graph_index);
+        let key = InfluenceKey {
+            fingerprint: graph_fingerprint(g),
+            graph_index,
+            theta: self.cfg.theta.to_bits(),
+            r: self.cfg.r.to_bits(),
+            gamma: self.cfg.gamma.to_bits(),
+            mode: self.cfg.influence,
+            seed: self.cfg.seed,
+        };
         {
             let memo = self.caches.influence.lock().expect("influence memo poisoned");
             if let Some(hit) = memo.map.get(&key) {
@@ -680,9 +707,25 @@ mod tests {
         }
         assert_eq!(caches.influence_len(), 1, "warm state outlives the session");
         let sess = ExplainSession::with_caches(&model, cfg, caches).unwrap();
-        let (hits_before, _) = sess.trace_cache().stats();
         let _ = sess.influence(db.graph(0), 0);
-        let _ = hits_before;
         assert_eq!(sess.caches().influence_len(), 1);
+    }
+
+    #[test]
+    fn shared_caches_never_cross_configurations() {
+        let db = motif_db();
+        let model = trained(&db);
+        let first = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
+        let second = Configuration { theta: 0.4, r: 0.9, gamma: 0.1, ..first.clone() };
+        let caches = Arc::new(SessionCaches::new());
+        let warm = ExplainSession::with_caches(&model, first, Arc::clone(&caches)).unwrap();
+        let _ = warm.explain(&GreedyStrategy, &db, &[0, 1]);
+        let shared = ExplainSession::with_caches(&model, second.clone(), caches).unwrap();
+        let fresh = ExplainSession::new(&model, second).unwrap();
+        assert_eq!(
+            serde_json::to_string(&shared.explain(&GreedyStrategy, &db, &[0, 1])).unwrap(),
+            serde_json::to_string(&fresh.explain(&GreedyStrategy, &db, &[0, 1])).unwrap(),
+            "a session sharing caches with another configuration must match a fresh one"
+        );
     }
 }

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 /// How to estimate the expected-Jacobian influence scores.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum InfluenceMode {
     /// Row-normalized `Ã^k` — exactly the expected Jacobian of a `k`-layer
     /// ReLU GCN up to a per-row constant that `I₂`'s normalization cancels

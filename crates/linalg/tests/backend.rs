@@ -231,9 +231,6 @@ fn handles_are_static_and_distinct() {
 fn scalar_dispatch_census_is_recorded() {
     use gvex_linalg::backend::{dispatch, refresh_from_env, set_active, Kernel};
     gvex_obs::set_enabled(true);
-    if !gvex_obs::enabled() {
-        return; // obs feature compiled out: the census is legitimately absent
-    }
     let value = |name: &str| {
         gvex_obs::metrics::counters().into_iter().find(|(n, _)| n == name).map_or(0, |(_, v)| v)
     };

@@ -31,6 +31,10 @@
 //! drop path and a static tag keeps the hot check to a `Cell` read.
 
 use crate::latency::Hist;
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Aggregated telemetry for one request name, as reported.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,209 +53,138 @@ pub struct RequestRecord {
     pub counters: Vec<(String, u64)>,
 }
 
-#[cfg(feature = "enabled")]
-pub use imp::{adopt, begin, current, reset, snapshot, ReqAdoptGuard, ReqScope};
-#[cfg(feature = "enabled")]
-pub(crate) use imp::{attribute_counter, attribute_span};
+#[derive(Default)]
+struct ReqStat {
+    count: u64,
+    total_ns: u128,
+    latency: Hist,
+    spans: BTreeMap<String, (u64, u128)>,
+    counters: BTreeMap<String, u64>,
+}
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::RequestRecord;
-    use crate::latency::Hist;
-    use std::cell::Cell;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-    use std::time::Instant;
+static REQUESTS: Mutex<BTreeMap<&'static str, ReqStat>> = Mutex::new(BTreeMap::new());
 
-    #[derive(Default)]
-    struct ReqStat {
-        count: u64,
-        total_ns: u128,
-        latency: Hist,
-        spans: BTreeMap<String, (u64, u128)>,
-        counters: BTreeMap<String, u64>,
-    }
+thread_local! {
+    /// The innermost active request tag on this thread.
+    static CURRENT: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
 
-    static REQUESTS: Mutex<BTreeMap<&'static str, ReqStat>> = Mutex::new(BTreeMap::new());
+/// RAII request scope; see [`begin`].
+#[must_use = "a request scope measures until dropped; binding it to _ drops immediately"]
+pub struct ReqScope {
+    /// `None` when observation was off at entry (inert guard).
+    armed: Option<(&'static str, Option<&'static str>, Instant)>,
+}
 
-    thread_local! {
-        /// The innermost active request tag on this thread.
-        static CURRENT: Cell<Option<&'static str>> = const { Cell::new(None) };
-    }
-
-    /// RAII request scope; see [`begin`].
-    #[must_use = "a request scope measures until dropped; binding it to _ drops immediately"]
-    pub struct ReqScope {
-        /// `None` when observation was off at entry (inert guard).
-        armed: Option<(&'static str, Option<&'static str>, Instant)>,
-    }
-
-    impl ReqScope {
-        /// Alias for [`begin`], so call sites read
-        /// `gvex_obs::context::ReqScope::begin("session.explain")`.
-        pub fn begin(name: &'static str) -> ReqScope {
-            begin(name)
-        }
-    }
-
-    /// Opens a request scope named `name`: the calling thread's (and, via
-    /// rayon adoption, its workers') spans and counters are attributed to
-    /// it until the guard drops. Inert when observation is off.
+impl ReqScope {
+    /// Alias for [`begin`], so call sites read
+    /// `gvex_obs::context::ReqScope::begin("session.explain")`.
     pub fn begin(name: &'static str) -> ReqScope {
-        if !crate::enabled() {
-            return ReqScope { armed: None };
-        }
-        let prev = CURRENT.with(|c| c.replace(Some(name)));
-        ReqScope { armed: Some((name, prev, Instant::now())) }
+        begin(name)
     }
+}
 
-    impl Drop for ReqScope {
-        fn drop(&mut self) {
-            let Some((name, prev, start)) = self.armed.take() else { return };
-            let end = Instant::now();
+/// Opens a request scope named `name`: the calling thread's (and, via
+/// rayon adoption, its workers') spans and counters are attributed to
+/// it until the guard drops. Inert when observation is off.
+pub fn begin(name: &'static str) -> ReqScope {
+    if !crate::enabled() {
+        return ReqScope { armed: None };
+    }
+    let prev = CURRENT.with(|c| c.replace(Some(name)));
+    ReqScope { armed: Some((name, prev, Instant::now())) }
+}
+
+impl Drop for ReqScope {
+    fn drop(&mut self) {
+        let Some((name, prev, start)) = self.armed.take() else { return };
+        let end = Instant::now();
+        CURRENT.with(|c| c.set(prev));
+        let elapsed = end.duration_since(start).as_nanos();
+        {
+            let mut reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
+            let stat = reqs.entry(name).or_default();
+            stat.count += 1;
+            stat.total_ns += elapsed;
+            stat.latency.record(elapsed.min(u64::MAX as u128) as u64);
+        }
+        if crate::trace::active() {
+            crate::trace::record_pair(&format!("req:{name}"), start, end);
+        }
+    }
+}
+
+/// The innermost active request tag on the calling thread — what the
+/// rayon stand-in captures before fanning out.
+#[inline]
+pub fn current() -> Option<&'static str> {
+    CURRENT.with(|c| c.get())
+}
+
+/// Installs `tag` as this thread's active request until the guard
+/// drops — worker threads call this with the launching thread's
+/// [`current`], mirroring `span::adopt`.
+#[must_use = "the adopted request tag reverts when the guard drops"]
+pub fn adopt(tag: Option<&'static str>) -> ReqAdoptGuard {
+    if !crate::enabled() {
+        return ReqAdoptGuard { prev: None };
+    }
+    ReqAdoptGuard { prev: Some(CURRENT.with(|c| c.replace(tag))) }
+}
+
+/// Restores the pre-[`adopt`] tag on drop.
+pub struct ReqAdoptGuard {
+    prev: Option<Option<&'static str>>,
+}
+
+impl Drop for ReqAdoptGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
             CURRENT.with(|c| c.set(prev));
-            let elapsed = end.duration_since(start).as_nanos();
-            {
-                let mut reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
-                let stat = reqs.entry(name).or_default();
-                stat.count += 1;
-                stat.total_ns += elapsed;
-                stat.latency.record(elapsed.min(u64::MAX as u128) as u64);
-            }
-            if crate::trace::active() {
-                crate::trace::record_pair(&format!("req:{name}"), start, end);
-            }
         }
-    }
-
-    /// The innermost active request tag on the calling thread — what the
-    /// rayon stand-in captures before fanning out.
-    #[inline]
-    pub fn current() -> Option<&'static str> {
-        CURRENT.with(|c| c.get())
-    }
-
-    /// Installs `tag` as this thread's active request until the guard
-    /// drops — worker threads call this with the launching thread's
-    /// [`current`], mirroring `span::adopt`.
-    #[must_use = "the adopted request tag reverts when the guard drops"]
-    pub fn adopt(tag: Option<&'static str>) -> ReqAdoptGuard {
-        if !crate::enabled() {
-            return ReqAdoptGuard { prev: None };
-        }
-        ReqAdoptGuard { prev: Some(CURRENT.with(|c| c.replace(tag))) }
-    }
-
-    /// Restores the pre-[`adopt`] tag on drop.
-    pub struct ReqAdoptGuard {
-        prev: Option<Option<&'static str>>,
-    }
-
-    impl Drop for ReqAdoptGuard {
-        fn drop(&mut self) {
-            if let Some(prev) = self.prev.take() {
-                CURRENT.with(|c| c.set(prev));
-            }
-        }
-    }
-
-    /// Folds a completed span into the active request's span table (called
-    /// by the span guard on drop when a tag is active).
-    pub(crate) fn attribute_span(tag: &'static str, path: &str, elapsed_ns: u128) {
-        let mut reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let stat = reqs.entry(tag).or_default();
-        let (count, total) = stat.spans.entry(path.to_string()).or_default();
-        *count += 1;
-        *total += elapsed_ns;
-    }
-
-    /// Mirrors a counter increment into the active request's counter table
-    /// (called by `metrics::counter_add` when a tag is active).
-    pub(crate) fn attribute_counter(tag: &'static str, name: &str, n: u64) {
-        let mut reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let stat = reqs.entry(tag).or_default();
-        let total = stat.counters.entry(name.to_string()).or_default();
-        *total = total.saturating_add(n);
-    }
-
-    /// All request records, sorted by name.
-    pub fn snapshot() -> Vec<RequestRecord> {
-        let reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
-        reqs.iter()
-            .map(|(name, s)| RequestRecord {
-                name: name.to_string(),
-                count: s.count,
-                total_ns: s.total_ns,
-                latency: s.latency.clone(),
-                spans: s.spans.iter().map(|(p, &(c, t))| (p.clone(), c, t)).collect(),
-                counters: s.counters.iter().map(|(n, &v)| (n.clone(), v)).collect(),
-            })
-            .collect()
-    }
-
-    /// Clears all request records (active tags are untouched).
-    pub fn reset() {
-        REQUESTS.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use super::RequestRecord;
-
-    /// Inert guard; the `enabled` feature is compiled out.
-    pub struct ReqScope;
-    /// Inert guard; the `enabled` feature is compiled out.
-    pub struct ReqAdoptGuard;
-
-    impl Drop for ReqScope {
-        fn drop(&mut self) {}
-    }
-    impl Drop for ReqAdoptGuard {
-        fn drop(&mut self) {}
-    }
-
-    impl ReqScope {
-        /// No-op: the `enabled` feature is compiled out.
-        #[inline(always)]
-        pub fn begin(_name: &'static str) -> ReqScope {
-            ReqScope
-        }
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn begin(_name: &'static str) -> ReqScope {
-        ReqScope
-    }
-
-    /// Always `None` without the `enabled` feature.
-    #[inline(always)]
-    pub fn current() -> Option<&'static str> {
-        None
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn adopt(_tag: Option<&'static str>) -> ReqAdoptGuard {
-        ReqAdoptGuard
-    }
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    pub fn snapshot() -> Vec<RequestRecord> {
-        Vec::new()
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn reset() {}
+/// Folds a completed span into the active request's span table (called
+/// by the span guard on drop when a tag is active).
+pub(crate) fn attribute_span(tag: &'static str, path: &str, elapsed_ns: u128) {
+    let mut reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let stat = reqs.entry(tag).or_default();
+    let (count, total) = stat.spans.entry(path.to_string()).or_default();
+    *count += 1;
+    *total += elapsed_ns;
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop::{adopt, begin, current, reset, snapshot, ReqAdoptGuard, ReqScope};
+/// Mirrors a counter increment into the active request's counter table
+/// (called by `metrics::counter_add` when a tag is active).
+pub(crate) fn attribute_counter(tag: &'static str, name: &str, n: u64) {
+    let mut reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let stat = reqs.entry(tag).or_default();
+    let total = stat.counters.entry(name.to_string()).or_default();
+    *total = total.saturating_add(n);
+}
 
-#[cfg(all(test, feature = "enabled"))]
+/// All request records, sorted by name.
+pub fn snapshot() -> Vec<RequestRecord> {
+    let reqs = REQUESTS.lock().unwrap_or_else(|e| e.into_inner());
+    reqs.iter()
+        .map(|(name, s)| RequestRecord {
+            name: name.to_string(),
+            count: s.count,
+            total_ns: s.total_ns,
+            latency: s.latency.clone(),
+            spans: s.spans.iter().map(|(p, &(c, t))| (p.clone(), c, t)).collect(),
+            counters: s.counters.iter().map(|(n, &v)| (n.clone(), v)).collect(),
+        })
+        .collect()
+}
+
+/// Clears all request records (active tags are untouched).
+pub fn reset() {
+    REQUESTS.lock().unwrap_or_else(|e| e.into_inner()).clear();
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -271,7 +204,7 @@ mod tests {
         let rec = snapshot().into_iter().find(|r| r.name == "ctx_test.basic").unwrap();
         assert_eq!(rec.count, 2);
         assert_eq!(rec.latency.count(), 2);
-        assert!(rec.latency.quantile_ns(0.99) as u128 * 2 >= rec.total_ns / 2);
+        assert!(rec.latency.quantile(0.99) as u128 * 2 >= rec.total_ns / 2);
     }
 
     #[test]

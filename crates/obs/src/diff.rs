@@ -1,11 +1,13 @@
 //! Comparing two `OBS_report.json` files: the perf-regression gate behind
 //! `gvex obs diff`.
 //!
-//! The reader is hand-rolled (like the writer in [`crate::report`] —
-//! `gvex-obs` sits below the serde stand-ins and stays dependency-free) and
-//! **backward-compatible**: it accepts both schema v1 reports (no
-//! percentiles, no requests) and v2, so a freshly built binary can gate
-//! against a baseline committed before the schema bump.
+//! The reader goes through the vendored `serde_json` (the codec the writer
+//! in [`crate::report`] uses) and is **backward-compatible**: it accepts
+//! schema v1 reports (no percentiles, no requests), v2, and v3 (HDR
+//! histograms — which the diff does not read), so a freshly built binary
+//! can gate against a baseline committed before a schema bump. Hostile
+//! input — truncated, nested past the parser's depth limit, or of the
+//! wrong shape — is an `Err`, never a panic.
 //!
 //! Comparison is asymmetric by design — it looks for *regressions* in `new`
 //! relative to `old`:
@@ -24,6 +26,7 @@
 //! up to 1.5× the old total. CI uses deliberately generous values — the
 //! gate exists to catch *gross* regressions, not machine jitter.
 
+use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -109,33 +112,44 @@ pub struct ReportData {
     pub counters: BTreeMap<String, u64>,
 }
 
-/// Parses an `OBS_report.json` document (schema v1 or v2).
+/// Parses an `OBS_report.json` document (schema v1, v2 or v3).
+///
+/// Span fields a v1 report lacks default to `None`/0; a counter that is not
+/// a non-negative integer is an error.
 pub fn parse_report(text: &str) -> Result<ReportData, String> {
-    let value = json::parse(text)?;
-    let obj = value.as_obj().ok_or("report root is not an object")?;
+    let root: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let Value::Object(_) = root else { return Err("report root is not an object".into()) };
     let mut data = ReportData {
-        schema_version: get(obj, "schema_version")
+        schema_version: root
+            .get_field("schema_version")
             .and_then(Value::as_u64)
             .ok_or("missing schema_version")?,
         ..ReportData::default()
     };
-    let spans = get(obj, "spans").and_then(Value::as_arr).ok_or("missing spans array")?;
+    let Some(Value::Array(spans)) = root.get_field("spans") else {
+        return Err("missing spans array".into());
+    };
     for span in spans {
-        let s = span.as_obj().ok_or("span entry is not an object")?;
-        let path = get(s, "path").and_then(Value::as_str).ok_or("span without path")?;
+        let Some(Value::Str(path)) = span.get_field("path") else {
+            return Err("span entry without a path".into());
+        };
+        let num = |key: &str| span.get_field(key).and_then(Value::as_f64);
         data.spans.insert(
-            path.to_string(),
+            path.clone(),
             SpanEntry {
-                count: get(s, "count").and_then(Value::as_u64).unwrap_or(0),
-                total_ms: get(s, "total_ms").and_then(Value::as_f64).unwrap_or(0.0),
-                p50_ms: get(s, "p50_ms").and_then(Value::as_f64),
-                p99_ms: get(s, "p99_ms").and_then(Value::as_f64),
+                count: span.get_field("count").and_then(Value::as_u64).unwrap_or(0),
+                total_ms: num("total_ms").unwrap_or(0.0),
+                p50_ms: num("p50_ms"),
+                p99_ms: num("p99_ms"),
             },
         );
     }
-    let counters = get(obj, "counters").and_then(Value::as_obj).ok_or("missing counters object")?;
+    let Some(Value::Object(counters)) = root.get_field("counters") else {
+        return Err("missing counters object".into());
+    };
     for (name, v) in counters {
-        data.counters.insert(name.clone(), v.as_u64().unwrap_or(0));
+        let n = v.as_u64().ok_or_else(|| format!("counter {name:?} is not a count: {v:?}"))?;
+        data.counters.insert(name.clone(), n);
     }
     Ok(data)
 }
@@ -199,244 +213,6 @@ pub fn compare(old: &ReportData, new: &ReportData, thr: &Thresholds) -> Vec<Regr
         rank(a.kind).cmp(&rank(b.kind)).then(rb.total_cmp(&ra))
     });
     out
-}
-
-fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-pub(crate) use json::Value;
-
-/// A minimal recursive-descent JSON reader, sized for gvex's own reports
-/// (objects, arrays, strings with the escapes the writer emits, numbers,
-/// booleans, null). Not a general-purpose validator.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub(crate) enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number, as `f64`.
-        Num(f64),
-        /// A string literal, unescaped.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in document order (duplicate keys keep the first).
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub(crate) fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub(crate) fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
-        pub(crate) fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub(crate) fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub(crate) fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub(crate) fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", c as char, self.i))
-            }
-        }
-
-        fn eat_literal(&mut self, lit: &str) -> bool {
-            if self.b[self.i..].starts_with(lit.as_bytes()) {
-                self.i += lit.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-                Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-                Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} at byte {}", self.i)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut out = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(Value::Obj(out));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let val = self.value()?;
-                out.push((key, val));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(Value::Obj(out));
-                    }
-                    other => return Err(format!("expected , or }} got {other:?} at {}", self.i)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut out = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(Value::Arr(out));
-            }
-            loop {
-                out.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(Value::Arr(out));
-                    }
-                    other => return Err(format!("expected , or ] got {other:?} at {}", self.i)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.i += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                if self.i + 4 >= self.b.len() {
-                                    return Err("truncated \\u escape".into());
-                                }
-                                let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                    .map_err(|_| "bad \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                self.i += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        self.i += 1;
-                    }
-                    Some(_) => {
-                        // consume one UTF-8 scalar; the cursor only ever
-                        // stops on char boundaries, so the slice is valid
-                        let c = std::str::from_utf8(&self.b[self.i..])
-                            .map_err(|_| "invalid UTF-8 in string")?
-                            .chars()
-                            .next()
-                            .expect("nonempty");
-                        out.push(c);
-                        self.i += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.i;
-            if self.peek() == Some(b'-') {
-                self.i += 1;
-            }
-            while let Some(c) = self.peek() {
-                if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-                    self.i += 1;
-                } else {
-                    break;
-                }
-            }
-            let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "bad number")?;
-            s.parse::<f64>().map(Value::Num).map_err(|e| format!("bad number {s:?}: {e}"))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -526,17 +302,88 @@ mod tests {
         assert!(compare(&old, &new, &Thresholds::default()).is_empty());
     }
 
+    const V3: &str = r#"{
+      "schema_version": 3,
+      "threads": 2,
+      "open_spans": 0,
+      "spans": [
+        {"path": "explain_db", "count": 1, "total_ms": 80.25, "min_ms": 80.25, "max_ms": 80.25,
+         "p50_ms": 80.5, "p90_ms": 80.5, "p99_ms": 80.5, "p999_ms": 80.5}
+      ],
+      "requests": {},
+      "trace": {"active": false, "events": 0, "dropped": 0, "capacity": 0},
+      "counters": {"gnn.trace_cache.hits": 500},
+      "histograms": {
+        "serve.request_us": {"count": 3, "p50": 120, "p90": 900, "p99": 950000, "p999": 950000}
+      }
+    }"#;
+
     #[test]
-    fn parser_handles_escapes_and_rejects_garbage() {
-        let v = json::parse(r#"{"a\n": [1, -2.5e3, true, null, "x\"y"]}"#).unwrap();
-        let obj = v.as_obj().unwrap();
-        assert_eq!(obj[0].0, "a\n");
-        let arr = obj[0].1.as_arr().unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.0));
-        assert_eq!(arr[1].as_f64(), Some(-2500.0));
-        assert_eq!(arr[4].as_str(), Some("x\"y"));
-        assert!(json::parse("{").is_err());
-        assert!(json::parse("[1,]").is_err());
-        assert!(json::parse("{} trailing").is_err());
+    fn reads_v3_reports_with_hdr_histograms() {
+        let r = parse_report(V3).unwrap();
+        assert_eq!(r.schema_version, 3);
+        assert_eq!(r.spans["explain_db"].p99_ms, Some(80.5));
+        assert_eq!(r.counters["gnn.trace_cache.hits"], 500);
+        let old = parse_report(&v2_with(80.0, 80.0, 500)).unwrap();
+        assert!(compare(&old, &r, &Thresholds::default()).is_empty(), "v2 vs v3 compares");
+    }
+
+    #[test]
+    fn span_paths_keep_their_escapes() {
+        let text = r#"{"schema_version": 2, "spans": [{"path": "a\n\"b\"", "total_ms": 1}],
+                       "counters": {}}"#;
+        let r = parse_report(text).unwrap();
+        assert!(r.spans.contains_key("a\n\"b\""));
+    }
+
+    #[test]
+    fn truncated_reports_are_errors() {
+        let full = v2_with(100.0, 5.0, 500);
+        assert!(parse_report(&full).is_ok());
+        let body = full.trim_end();
+        for end in 0..body.len() {
+            if body.is_char_boundary(end) {
+                assert!(parse_report(&body[..end]).is_err(), "prefix of {end} bytes parsed");
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error() {
+        for depth in [200, 200_000] {
+            assert!(parse_report(&"[".repeat(depth)).is_err());
+            let nested = format!(
+                r#"{{"schema_version": 2, "spans": [], "counters": {{"x": {}1{}}}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            );
+            assert!(parse_report(&nested).is_err());
+        }
+    }
+
+    #[test]
+    fn non_object_roots_are_errors() {
+        for text in ["[]", "3", "\"report\"", "null", "true"] {
+            let err = parse_report(text).unwrap_err();
+            assert!(err.contains("not an object"), "{text}: {err}");
+        }
+        assert!(parse_report(r#"{"schema_version": 2, "spans": {}, "counters": {}}"#).is_err());
+        assert!(parse_report(r#"{"schema_version": 2, "spans": [], "counters": []}"#).is_err());
+        assert!(parse_report(r#"{"schema_version": 2, "spans": [3], "counters": {}}"#).is_err());
+    }
+
+    #[test]
+    fn negative_or_fractional_counters_are_errors() {
+        for bad in ["-5", "2.5", "-0.5", "1e400", "\"7\""] {
+            let text =
+                format!(r#"{{"schema_version": 2, "spans": [], "counters": {{"c": {bad}}}}}"#);
+            assert!(parse_report(&text).is_err(), "counter {bad} accepted");
+        }
+        // integral floats are counts; a negative span count reads as zero
+        let text = r#"{"schema_version": 2, "spans": [{"path": "s", "count": -3}],
+                       "counters": {"c": 4.0}}"#;
+        let r = parse_report(text).unwrap();
+        assert_eq!(r.counters["c"], 4);
+        assert_eq!(r.spans["s"].count, 0);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! One place defines what `GVEX_THREADS=garbage` means (warn once, fall back
 //! to the machine default — never abort a run over a typo) instead of each
-//! crate hand-rolling its own `std::env::var` dance. This module is always
-//! compiled, independent of the `enabled` feature.
+//! crate hand-rolling its own `std::env::var` dance.
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -1,24 +1,24 @@
-//! HDR-style log-bucketed latency histogram with quantile extraction.
+//! HDR-style log-bucketed histogram with quantile extraction — the one
+//! histogram type of `gvex-obs`.
 //!
 //! Span aggregation (min/mean/max) answers "how slow was the worst call",
 //! but SLOs are phrased in percentiles — p99 of a request, not its maximum.
-//! [`Hist`] records nanosecond durations into log-spaced buckets with a
-//! bounded relative error and extracts p50/p90/p99/p999 by a cumulative
-//! walk, streaming-friendly: `record` is O(1), memory is a fixed table.
+//! [`Hist`] records `u64` values (nanoseconds for spans and requests, the
+//! caller's unit for [`crate::histogram!`] metrics) into log-spaced buckets
+//! with a bounded relative error and extracts p50/p90/p99/p999 by a
+//! cumulative walk, streaming-friendly: `record` is O(1), memory is a fixed
+//! table.
 //!
-//! Bucket layout (the classic HDR shape, hand-rolled — this crate stays
-//! dependency-free):
+//! Bucket layout (the classic HDR shape, hand-rolled):
 //!
 //! * values `0..8` get exact unit buckets;
 //! * every power-of-two octave above that is split into 8 linear
 //!   sub-buckets, so any recorded value is over-estimated by at most
 //!   **12.5%** when read back out of its bucket upper bound.
 //!
-//! The full `u64` range is covered (8 + 61·8 = 496 buckets); allocation is
-//! lazy, so an empty histogram is two machine words. This module is always
-//! compiled, independent of the `enabled` feature: it is pure data, used by
-//! the span registry when observation is on and by report readers
-//! ([`crate::diff`]) regardless.
+//! The full `u64` range is covered (8 + 61·8 = 496 buckets), so no value
+//! overflows; allocation is lazy, so an empty histogram is two machine
+//! words.
 
 /// Values below this get exact unit buckets.
 const LINEAR_MAX: u64 = 8;
@@ -27,14 +27,15 @@ const SUB_BITS: u32 = 3;
 /// Total bucket count covering all of `u64`.
 pub const BUCKETS: usize = LINEAR_MAX as usize + (64 - SUB_BITS as usize) * (1 << SUB_BITS);
 
-/// Index of the bucket `ns` falls into (total order, full `u64` coverage).
+/// Index of the bucket `value` falls into (total order, full `u64`
+/// coverage).
 #[inline]
-pub fn bucket_of(ns: u64) -> usize {
-    if ns < LINEAR_MAX {
-        return ns as usize;
+pub fn bucket_of(value: u64) -> usize {
+    if value < LINEAR_MAX {
+        return value as usize;
     }
-    let exp = 63 - ns.leading_zeros(); // >= SUB_BITS because ns >= 8
-    let sub = ((ns >> (exp - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
+    let exp = 63 - value.leading_zeros(); // >= SUB_BITS because value >= 8
+    let sub = ((value >> (exp - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
     LINEAR_MAX as usize + ((exp - SUB_BITS) as usize) * (1 << SUB_BITS) + sub
 }
 
@@ -53,7 +54,7 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     lower.saturating_add(width - 1)
 }
 
-/// A streaming log-bucketed histogram of nanosecond durations.
+/// A streaming log-bucketed histogram of `u64` values.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Hist {
     /// Per-bucket counts; empty until the first record, `BUCKETS` long after.
@@ -67,16 +68,16 @@ impl Hist {
         Self::default()
     }
 
-    /// Records one duration. O(1); allocates the bucket table on first use.
-    pub fn record(&mut self, ns: u64) {
+    /// Records one value. O(1); allocates the bucket table on first use.
+    pub fn record(&mut self, value: u64) {
         if self.counts.is_empty() {
             self.counts = vec![0; BUCKETS];
         }
-        self.counts[bucket_of(ns)] += 1;
+        self.counts[bucket_of(value)] += 1;
         self.count += 1;
     }
 
-    /// Total recorded durations.
+    /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -98,7 +99,7 @@ impl Hist {
     /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the bucket
     /// holding the rank-⌈q·n⌉ value — over-estimates by ≤ 12.5%. Returns 0
     /// for an empty histogram.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -113,14 +114,10 @@ impl Hist {
         bucket_upper_bound(BUCKETS - 1)
     }
 
-    /// `(p50, p90, p99, p999)` in nanoseconds — the report's fixed set.
-    pub fn percentiles_ns(&self) -> (u64, u64, u64, u64) {
-        (
-            self.quantile_ns(0.50),
-            self.quantile_ns(0.90),
-            self.quantile_ns(0.99),
-            self.quantile_ns(0.999),
-        )
+    /// `(p50, p90, p99, p999)` in the recorded unit — the report's fixed
+    /// set.
+    pub fn percentiles(&self) -> (u64, u64, u64, u64) {
+        (self.quantile(0.50), self.quantile(0.90), self.quantile(0.99), self.quantile(0.999))
     }
 }
 
@@ -136,8 +133,8 @@ mod tests {
         }
         let mut h = Hist::new();
         h.record(3);
-        assert_eq!(h.quantile_ns(0.5), 3);
-        assert_eq!(h.quantile_ns(1.0), 3);
+        assert_eq!(h.quantile(0.5), 3);
+        assert_eq!(h.quantile(1.0), 3);
     }
 
     #[test]
@@ -170,7 +167,7 @@ mod tests {
             h.record(v * 1000); // 1µs .. 1ms, uniform
         }
         assert_eq!(h.count(), 1000);
-        let (p50, p90, p99, p999) = h.percentiles_ns();
+        let (p50, p90, p99, p999) = h.percentiles();
         for (q, got) in [(0.5, p50), (0.9, p90), (0.99, p99), (0.999, p999)] {
             let exact = (q * 1000.0) as u64 * 1000;
             assert!(got as f64 >= exact as f64 * 0.99, "p{q} {got} under exact {exact}");
@@ -188,7 +185,7 @@ mod tests {
         b.record(1 << 30);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.quantile_ns(0.5), bucket_upper_bound(bucket_of(10)));
+        assert_eq!(a.quantile(0.5), bucket_upper_bound(bucket_of(10)));
         a.merge(&Hist::new()); // merging an empty hist is a no-op
         assert_eq!(a.count(), 3);
     }
@@ -197,6 +194,6 @@ mod tests {
     fn empty_histogram_reports_zero() {
         let h = Hist::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_ns(0.99), 0);
+        assert_eq!(h.quantile(0.99), 0);
     }
 }

@@ -1,4 +1,4 @@
-//! `gvex-obs`: zero-overhead tracing, metrics, and run reports.
+//! `gvex-obs`: tracing, metrics, and run reports.
 //!
 //! The explain pipeline is instrumented with three primitives:
 //!
@@ -6,20 +6,16 @@
 //!   slash-joined path (`explain_db/predict/gnn.forward`), aggregated
 //!   thread-safely by full path;
 //! - [`counter!`] — a named monotonic counter;
-//! - [`histogram!`] — a named fixed-bucket (power-of-two bounds) histogram.
+//! - [`histogram!`] — a named HDR histogram ([`latency::Hist`]) reported
+//!   as count and p50/p90/p99/p999 in the recorded unit.
 //!
 //! Observation never alters computation: guards only read the clock and
 //! update side tables, so the bitwise thread-count determinism guarantee of
 //! the pipeline is preserved (pinned by `tests/determinism.rs`).
 //!
-//! Two switches gate the machinery:
-//!
-//! 1. the `enabled` **cargo feature** (forwarded as `obs` by every gvex
-//!    crate) — without it the macros expand to inlined no-ops with zero
-//!    runtime cost;
-//! 2. the `GVEX_OBS` **environment variable** (or [`set_enabled`] in
-//!    process) — with the feature compiled in but the toggle off, each
-//!    primitive costs one relaxed atomic load.
+//! One switch gates the machinery: the `GVEX_OBS` environment variable (or
+//! [`set_enabled`] in process). With it off, each primitive costs one
+//! relaxed atomic load.
 //!
 //! At the end of a run, [`report::emit`] renders the span tree to stderr and
 //! writes machine-readable `OBS_report.json` (path override: `GVEX_OBS_JSON`).
@@ -30,12 +26,15 @@
 //! - [`context`] — explicit [`context::ReqScope`] request handles tagging
 //!   every span/counter recorded under them, propagated across the rayon
 //!   stand-in like span paths, reported with per-request p50/p90/p99/p999;
-//! - [`latency`] — the hand-rolled HDR-style histogram behind those
-//!   percentiles, also recorded per span path;
+//! - [`latency`] — the hand-rolled HDR-style histogram behind every
+//!   percentile: spans, requests, and [`histogram!`] metrics;
 //! - [`trace`] — a bounded ring of span begin/end events, flushed to a
 //!   `chrome://tracing` JSON when `GVEX_OBS_TRACE=path` is set;
 //! - [`diff`] — a backward-compatible `OBS_report.json` reader and the
 //!   regression comparison behind `gvex obs diff`.
+//!
+//! Reports are read and written through the vendored `serde_json` value
+//! tree, the workspace's one JSON codec.
 
 pub mod context;
 pub mod diff;
@@ -46,58 +45,31 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-#[cfg(feature = "enabled")]
-mod state {
-    use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-    /// 0 = uninitialised (consult `GVEX_OBS`), 1 = off, 2 = on.
-    static STATE: AtomicU8 = AtomicU8::new(0);
+/// 0 = uninitialised (consult `GVEX_OBS`), 1 = off, 2 = on.
+static STATE: AtomicU8 = AtomicU8::new(0);
 
-    #[inline]
-    pub fn enabled() -> bool {
-        match STATE.load(Ordering::Relaxed) {
-            1 => false,
-            2 => true,
-            _ => {
-                let on = crate::env::flag("GVEX_OBS");
-                STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-                on
-            }
-        }
-    }
-
-    pub fn set_enabled(on: bool) {
-        STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    }
-}
-
-/// Whether observation is active right now (feature compiled in **and**
-/// runtime toggle on). The first call reads `GVEX_OBS`; afterwards it is a
-/// single relaxed atomic load.
-#[cfg(feature = "enabled")]
+/// Whether observation is active right now. The first call reads
+/// `GVEX_OBS`; afterwards it is a single relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    state::enabled()
-}
-
-/// Always `false` when the `enabled` feature is compiled out.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn enabled() -> bool {
-    false
+    match STATE.load(Ordering::Relaxed) {
+        1 => false,
+        2 => true,
+        _ => {
+            let on = env::flag("GVEX_OBS");
+            STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+            on
+        }
+    }
 }
 
 /// Overrides the `GVEX_OBS` toggle in process — used by tests and benches
 /// that must observe one run and not another without re-execing.
-#[cfg(feature = "enabled")]
 pub fn set_enabled(on: bool) {
-    state::set_enabled(on);
+    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
-
-/// No-op when the `enabled` feature is compiled out.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn set_enabled(_on: bool) {}
 
 /// Clears all recorded spans, counters, histograms, and request records
 /// (the enable state and the trace ring are untouched — see
@@ -111,7 +83,7 @@ pub fn reset() {
 
 /// Opens a wall-clock span until the end of the enclosing scope:
 /// `gvex_obs::span!("mining.pgen");`. Nested spans extend the thread's
-/// slash-joined path. Expands to a no-op without the `enabled` feature.
+/// slash-joined path. Inert while observation is off.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -131,7 +103,7 @@ macro_rules! counter {
     };
 }
 
-/// Records a value into a named fixed-bucket histogram:
+/// Records a value into a named HDR histogram:
 /// `histogram!("rayon.chunk_items", len)`.
 #[macro_export]
 macro_rules! histogram {

@@ -1,182 +1,75 @@
-//! Named counters and fixed-bucket histograms.
+//! Named counters and histograms.
 //!
 //! Both registries are global `Mutex<BTreeMap>`s keyed by metric name; the
-//! stable name table lives in DESIGN.md §8. Recording is a no-op unless the
-//! `enabled` feature is compiled in **and** the runtime toggle is on.
+//! stable name table lives in DESIGN.md §8. Histograms are the same HDR
+//! [`Hist`] that backs span and request percentiles, so a value is read
+//! back within 12.5% at any magnitude. Recording is a no-op unless the
+//! runtime toggle is on.
 
-/// Histogram bucket upper bounds (inclusive), power-of-two spaced with an
-/// explicit zero bucket. Values above the last bound land in the overflow
-/// bucket. One shared shape keeps reports comparable across metrics.
-pub const HISTOGRAM_BOUNDS: [u64; 16] =
-    [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536, 262144];
+use crate::latency::Hist;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
-/// A point-in-time copy of one histogram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket counts, aligned with [`HISTOGRAM_BOUNDS`].
-    pub counts: [u64; HISTOGRAM_BOUNDS.len()],
-    /// Values above the last bound.
-    pub overflow: u64,
-    /// Total recorded values.
-    pub count: u64,
-    /// Sum of recorded values (saturating).
-    pub sum: u64,
-}
+static COUNTERS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+static HISTOGRAMS: Mutex<BTreeMap<String, Hist>> = Mutex::new(BTreeMap::new());
 
-impl HistogramSnapshot {
-    /// Mean recorded value, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
+/// Adds `n` to the counter `name` (no-op when observation is off). When a
+/// request scope is active on this thread, the increment is also mirrored
+/// into that request's counter table.
+pub fn counter_add(name: &str, n: u64) {
+    if !crate::enabled() {
+        return;
+    }
+    {
+        let mut counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        // `get_mut` first: the common case must not allocate a key String.
+        if let Some(total) = counters.get_mut(name) {
+            *total = total.saturating_add(n);
         } else {
-            self.sum as f64 / self.count as f64
+            counters.insert(name.to_string(), n);
+        }
+    }
+    if let Some(tag) = crate::context::current() {
+        crate::context::attribute_counter(tag, name, n);
+    }
+}
+
+/// Records `value` into the histogram `name` (no-op when observation is
+/// off).
+pub fn histogram_record(name: &str, value: u64) {
+    if !crate::enabled() {
+        return;
+    }
+    let mut hists = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
+    match hists.get_mut(name) {
+        Some(hist) => hist.record(value),
+        None => {
+            let mut hist = Hist::new();
+            hist.record(value);
+            hists.insert(name.to_string(), hist);
         }
     }
 }
 
-/// Index of the bucket `value` falls into, or `None` for the overflow
-/// bucket. Bounds are upper-inclusive: 0 → bucket 0, 1 → bucket 1,
-/// 3 → bucket 3 (bound 4).
-pub fn bucket_index(value: u64) -> Option<usize> {
-    HISTOGRAM_BOUNDS.iter().position(|&bound| value <= bound)
+/// All counters, sorted by name.
+pub fn counters() -> Vec<(String, u64)> {
+    let counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    counters.iter().map(|(k, &v)| (k.clone(), v)).collect()
 }
 
-#[cfg(feature = "enabled")]
-pub use imp::{counter_add, counters, histogram_record, histograms, reset};
-
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{bucket_index, HistogramSnapshot, HISTOGRAM_BOUNDS};
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-
-    static COUNTERS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-    static HISTOGRAMS: Mutex<BTreeMap<String, HistogramSnapshot>> = Mutex::new(BTreeMap::new());
-
-    /// Adds `n` to the counter `name` (no-op when observation is off). When
-    /// a request scope is active on this thread, the increment is also
-    /// mirrored into that request's counter table.
-    pub fn counter_add(name: &str, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        {
-            let mut counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-            // `get_mut` first: the common case must not allocate a key String.
-            if let Some(total) = counters.get_mut(name) {
-                *total = total.saturating_add(n);
-            } else {
-                counters.insert(name.to_string(), n);
-            }
-        }
-        if let Some(tag) = crate::context::current() {
-            crate::context::attribute_counter(tag, name, n);
-        }
-    }
-
-    /// Records `value` into the histogram `name` (no-op when observation is
-    /// off).
-    pub fn histogram_record(name: &str, value: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        let mut hists = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-        if !hists.contains_key(name) {
-            hists.insert(
-                name.to_string(),
-                HistogramSnapshot {
-                    counts: [0; HISTOGRAM_BOUNDS.len()],
-                    overflow: 0,
-                    count: 0,
-                    sum: 0,
-                },
-            );
-        }
-        let hist = hists.get_mut(name).expect("just inserted");
-        match bucket_index(value) {
-            Some(i) => hist.counts[i] += 1,
-            None => hist.overflow += 1,
-        }
-        hist.count += 1;
-        hist.sum = hist.sum.saturating_add(value);
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters() -> Vec<(String, u64)> {
-        let counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-        counters.iter().map(|(k, &v)| (k.clone(), v)).collect()
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms() -> Vec<(String, HistogramSnapshot)> {
-        let hists = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-        hists.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-    }
-
-    /// Clears both registries.
-    pub fn reset() {
-        COUNTERS.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
+/// All histograms, sorted by name.
+pub fn histograms() -> Vec<(String, Hist)> {
+    let hists = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
+    hists.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
 }
 
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use super::HistogramSnapshot;
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn counter_add(_name: &str, _n: u64) {}
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn histogram_record(_name: &str, _value: u64) {}
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    pub fn counters() -> Vec<(String, u64)> {
-        Vec::new()
-    }
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    pub fn histograms() -> Vec<(String, HistogramSnapshot)> {
-        Vec::new()
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn reset() {}
+/// Clears both registries.
+pub fn reset() {
+    COUNTERS.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
-
-#[cfg(not(feature = "enabled"))]
-pub use noop::{counter_add, counters, histogram_record, histograms, reset};
 
 #[cfg(test)]
-mod bucket_tests {
-    use super::*;
-
-    #[test]
-    fn zero_gets_its_own_bucket() {
-        assert_eq!(bucket_index(0), Some(0));
-        assert_eq!(bucket_index(1), Some(1));
-    }
-
-    #[test]
-    fn bounds_are_upper_inclusive() {
-        assert_eq!(bucket_index(4), Some(3)); // bounds[3] == 4
-        assert_eq!(bucket_index(5), Some(4)); // next bound is bounds[4] == 8
-        assert_eq!(bucket_index(262144), Some(HISTOGRAM_BOUNDS.len() - 1));
-    }
-
-    #[test]
-    fn above_last_bound_is_overflow() {
-        assert_eq!(bucket_index(262145), None);
-        assert_eq!(bucket_index(u64::MAX), None);
-    }
-}
-
-#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
 
@@ -197,17 +90,16 @@ mod tests {
     }
 
     #[test]
-    fn histogram_tracks_zero_and_overflow() {
+    fn histogram_keeps_zero_and_the_full_u64_range() {
         crate::set_enabled(true);
         histogram_record("metrics_test.hist", 0);
         histogram_record("metrics_test.hist", 7);
         histogram_record("metrics_test.hist", u64::MAX);
         let (_, hist) =
             histograms().into_iter().find(|(name, _)| name == "metrics_test.hist").unwrap();
-        assert_eq!(hist.counts[0], 1, "zero lands in the zero bucket");
-        assert_eq!(hist.counts[bucket_index(7).unwrap()], 1);
-        assert_eq!(hist.overflow, 1, "huge value lands in overflow");
-        assert_eq!(hist.count, 3);
-        assert_eq!(hist.sum, u64::MAX, "sum saturates instead of wrapping");
+        assert_eq!(hist.count(), 3);
+        assert_eq!(hist.quantile(0.0), 0, "zero is exact");
+        assert_eq!(hist.quantile(0.5), 7, "small values are exact");
+        assert_eq!(hist.quantile(1.0), u64::MAX, "nothing overflows");
     }
 }

@@ -1,22 +1,25 @@
 //! End-of-run report: span tree to stderr, `OBS_report.json` to disk.
 //!
-//! JSON is emitted by hand — `gvex-obs` sits below every other crate
-//! (including the serde stand-ins) and must stay dependency-free. The
-//! schema is documented in DESIGN.md §8; `schema_version` bumps on any
-//! incompatible change.
+//! The JSON document is built as a `serde_json::Value` tree and rendered by
+//! the vendored `serde_json` — the same codec [`crate::diff`] reads it back
+//! with. The schema is documented in DESIGN.md §8; `schema_version` bumps on
+//! any incompatible change.
 
-use crate::metrics::HistogramSnapshot;
-use crate::span::SpanRecord;
+use crate::latency::Hist;
+use serde_json::{json, Value};
 use std::path::PathBuf;
 
 /// Schema version stamped into `OBS_report.json`.
 ///
-/// v2 (this version) adds per-span `p50_ms`/`p90_ms`/`p99_ms`/`p999_ms`
-/// percentile fields, a top-level `requests` object (per-[`crate::context`]
-/// ReqScope counts, latency percentiles, attributed spans/counters), and a
-/// top-level `trace` object (ring occupancy and drop counter). All v1
-/// fields are unchanged; [`crate::diff`] reads both versions.
-pub const SCHEMA_VERSION: u64 = 2;
+/// v3 (this version) reports each histogram as HDR percentiles,
+/// `{count, p50, p90, p99, p999}` in the recorded unit, replacing v1/v2's
+/// fixed `bounds`/`counts`/`overflow`/`sum` shape. v2 added per-span
+/// `p50_ms`/`p90_ms`/`p99_ms`/`p999_ms` fields, a top-level `requests`
+/// object (per-[`crate::context`] ReqScope counts, latency percentiles,
+/// attributed spans/counters), and a top-level `trace` object (ring
+/// occupancy and drop counter). Spans and counters are unchanged since v1;
+/// [`crate::diff`] reads all three versions.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Default report file name, relative to the working directory; override
 /// with `GVEX_OBS_JSON=/path/to/file.json`.
@@ -80,8 +83,8 @@ pub fn render_text() -> String {
             let label = format!("{}{}", "  ".repeat(depth), name);
             let total = s.total_ns as f64 / 1e6;
             let mean = total / s.count.max(1) as f64;
-            let p50 = s.latency.quantile_ns(0.50) as f64 / 1e6;
-            let p99 = s.latency.quantile_ns(0.99) as f64 / 1e6;
+            let p50 = s.latency.quantile(0.50) as f64 / 1e6;
+            let p99 = s.latency.quantile(0.99) as f64 / 1e6;
             out.push_str(&format!(
                 "[gvex-obs]   {label:<40} {:>7} · {total:>10.2}ms · {mean:>9.3}ms · {p50:>8.3}ms · {p99:>8.3}ms\n",
                 s.count
@@ -93,8 +96,8 @@ pub fn render_text() -> String {
         out.push_str("[gvex-obs] requests (count · total · p50 · p99):\n");
         for r in &requests {
             let total = r.total_ns as f64 / 1e6;
-            let p50 = r.latency.quantile_ns(0.50) as f64 / 1e6;
-            let p99 = r.latency.quantile_ns(0.99) as f64 / 1e6;
+            let p50 = r.latency.quantile(0.50) as f64 / 1e6;
+            let p99 = r.latency.quantile(0.99) as f64 / 1e6;
             out.push_str(&format!(
                 "[gvex-obs]   {:<40} {:>7} · {total:>10.2}ms · {p50:>8.3}ms · {p99:>8.3}ms\n",
                 r.name, r.count
@@ -110,13 +113,13 @@ pub fn render_text() -> String {
     }
     let histograms = crate::metrics::histograms();
     if !histograms.is_empty() {
-        out.push_str("[gvex-obs] histograms (count · mean · overflow):\n");
+        out.push_str("[gvex-obs] histograms (count · p50 · p99):\n");
         for (name, h) in &histograms {
             out.push_str(&format!(
-                "[gvex-obs]   {name}: {} · {:.1} · {}\n",
-                h.count,
-                h.mean(),
-                h.overflow
+                "[gvex-obs]   {name}: {} · {} · {}\n",
+                h.count(),
+                h.quantile(0.50),
+                h.quantile(0.99)
             ));
         }
     }
@@ -130,146 +133,80 @@ pub fn render_text() -> String {
 /// The machine-readable report as a JSON document (see DESIGN.md §8 for the
 /// schema).
 pub fn render_json() -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"threads\": {},\n", crate::env::threads()));
-    out.push_str(&format!("  \"open_spans\": {},\n", crate::span::open_spans()));
-    out.push_str("  \"spans\": [\n");
-    let spans = crate::span::snapshot();
-    for (i, s) in spans.iter().enumerate() {
-        let (p50, p90, p99, p999) = s.latency.percentiles_ns();
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"count\": {}, \"total_ms\": {}, \"min_ms\": {}, \"max_ms\": {}, \
-             \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}}}{}\n",
-            escape(&s.path),
-            s.count,
-            fmt_ms(s.total_ns),
-            fmt_ms(s.min_ns),
-            fmt_ms(s.max_ns),
-            fmt_ms(p50 as u128),
-            fmt_ms(p90 as u128),
-            fmt_ms(p99 as u128),
-            fmt_ms(p999 as u128),
-            comma(i, spans.len()),
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"requests\": {\n");
-    let requests = crate::context::snapshot();
-    for (i, r) in requests.iter().enumerate() {
-        let (p50, p90, p99, p999) = r.latency.percentiles_ns();
-        out.push_str(&format!(
-            "    \"{}\": {{\"count\": {}, \"total_ms\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \
-             \"p99_ms\": {}, \"p999_ms\": {},\n",
-            escape(&r.name),
-            r.count,
-            fmt_ms(r.total_ns),
-            fmt_ms(p50 as u128),
-            fmt_ms(p90 as u128),
-            fmt_ms(p99 as u128),
-            fmt_ms(p999 as u128),
-        ));
-        out.push_str("      \"spans\": {");
-        for (j, (path, count, total_ns)) in r.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\"{}\": {{\"count\": {count}, \"total_ms\": {}}}",
-                if j == 0 { "" } else { ", " },
-                escape(path),
-                fmt_ms(*total_ns),
-            ));
-        }
-        out.push_str("},\n      \"counters\": {");
-        for (j, (name, value)) in r.counters.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\"{}\": {value}",
-                if j == 0 { "" } else { ", " },
-                escape(name),
-            ));
-        }
-        out.push_str(&format!("}}}}{}\n", comma(i, requests.len())));
-    }
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"trace\": {{\"active\": {}, \"events\": {}, \"dropped\": {}, \"capacity\": {}}},\n",
-        crate::trace::active(),
-        crate::trace::events().len(),
-        crate::trace::dropped(),
-        crate::trace::capacity(),
-    ));
-    out.push_str("  \"counters\": {\n");
-    let counters = crate::metrics::counters();
-    for (i, (name, value)) in counters.iter().enumerate() {
-        out.push_str(&format!("    \"{}\": {value}{}\n", escape(name), comma(i, counters.len())));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"histograms\": {\n");
-    let histograms = crate::metrics::histograms();
-    for (i, (name, h)) in histograms.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"bounds\": {}, \"counts\": {}, \"overflow\": {}, \"count\": {}, \"sum\": {}}}{}\n",
-            escape(name),
-            u64_array(&crate::metrics::HISTOGRAM_BOUNDS),
-            u64_array(&h.counts),
-            h.overflow,
-            h.count,
-            h.sum,
-            comma(i, histograms.len()),
-        ));
-    }
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+    let spans: Vec<Value> = crate::span::snapshot()
+        .iter()
+        .map(|s| {
+            let (p50, p90, p99, p999) = s.latency.percentiles();
+            json!({
+                "path": s.path,
+                "count": s.count,
+                "total_ms": ms(s.total_ns),
+                "min_ms": ms(s.min_ns),
+                "max_ms": ms(s.max_ns),
+                "p50_ms": ms(p50.into()),
+                "p90_ms": ms(p90.into()),
+                "p99_ms": ms(p99.into()),
+                "p999_ms": ms(p999.into()),
+            })
+        })
+        .collect();
+    let requests = object(crate::context::snapshot().into_iter().map(|r| {
+        let (p50, p90, p99, p999) = r.latency.percentiles();
+        let spans = object(r.spans.iter().map(|(path, count, total_ns)| {
+            (path.clone(), json!({ "count": count, "total_ms": ms(*total_ns) }))
+        }));
+        let counters = object(r.counters.iter().map(|(name, v)| (name.clone(), json!(v))));
+        let entry = json!({
+            "count": r.count,
+            "total_ms": ms(r.total_ns),
+            "p50_ms": ms(p50.into()),
+            "p90_ms": ms(p90.into()),
+            "p99_ms": ms(p99.into()),
+            "p999_ms": ms(p999.into()),
+            "spans": spans,
+            "counters": counters,
+        });
+        (r.name, entry)
+    }));
+    let trace = json!({
+        "active": crate::trace::active(),
+        "events": crate::trace::events().len(),
+        "dropped": crate::trace::dropped(),
+        "capacity": crate::trace::capacity(),
+    });
+    let counters = object(crate::metrics::counters().into_iter().map(|(name, v)| (name, json!(v))));
+    let histograms = object(
+        crate::metrics::histograms().into_iter().map(|(name, h)| (name, histogram_json(&h))),
+    );
+    let doc = json!({
+        "schema_version": SCHEMA_VERSION,
+        "threads": crate::env::threads(),
+        "open_spans": crate::span::open_spans(),
+        "spans": spans,
+        "requests": requests,
+        "trace": trace,
+        "counters": counters,
+        "histograms": histograms,
+    });
+    let mut text = serde_json::to_string_pretty(&doc).expect("a value tree always renders");
+    text.push('\n');
+    text
 }
 
-/// `,` between elements, nothing after the last.
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
+/// One v3 histogram entry: count plus HDR percentiles in the recorded unit.
+fn histogram_json(h: &Hist) -> Value {
+    let (p50, p90, p99, p999) = h.percentiles();
+    json!({ "count": h.count(), "p50": p50, "p90": p90, "p99": p99, "p999": p999 })
 }
 
-/// Nanoseconds as fractional milliseconds with fixed precision (a plain JSON
-/// number).
-fn fmt_ms(ns: u128) -> String {
-    format!("{:.6}", ns as f64 / 1e6)
+/// A JSON object from `(key, value)` pairs, in iteration order.
+fn object(fields: impl Iterator<Item = (String, Value)>) -> Value {
+    Value::Object(fields.collect())
 }
 
-fn u64_array(values: &[u64]) -> String {
-    let inner: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", inner.join(", "))
-}
-
-/// Escapes a string for a JSON literal. Metric names are ASCII identifiers
-/// in practice; this keeps the output valid even if one is not. Shared with
-/// the trace writer.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Re-exported for report consumers that want to pretty-print histograms
-/// themselves.
-pub fn histograms() -> Vec<(String, HistogramSnapshot)> {
-    crate::metrics::histograms()
-}
-
-/// Re-exported for report consumers that want the raw span table.
-pub fn spans() -> Vec<SpanRecord> {
-    crate::span::snapshot()
+/// Nanoseconds as fractional milliseconds.
+fn ms(ns: u128) -> f64 {
+    ns as f64 / 1e6
 }
 
 #[cfg(test)]
@@ -277,22 +214,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("plain.name"), "plain.name");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("a\nb"), "a\\nb");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn json_renders_even_when_empty() {
-        // With the feature off (or nothing recorded) the document must
-        // still be well-formed.
+        // With nothing recorded the document must still be well-formed.
         let json = render_json();
         assert!(json.starts_with("{\n"));
         assert!(json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(json.contains("\"requests\""));
         assert!(json.contains("\"trace\""));
         assert!(json.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn rendered_report_round_trips_through_the_diff_reader() {
+        crate::set_enabled(true);
+        {
+            let _s = crate::span::enter("report_test.\"quoted\"\nspan");
+        }
+        crate::metrics::counter_add("report_test.counter", 4);
+        crate::metrics::histogram_record("report_test.hist", 1_000_000);
+        let text = render_json();
+        let data = crate::diff::parse_report(&text).expect("own report parses");
+        assert_eq!(data.schema_version, SCHEMA_VERSION);
+        assert!(data.spans.keys().any(|p| p.ends_with("report_test.\"quoted\"\nspan")));
+        assert_eq!(data.counters["report_test.counter"], 4);
+        let doc: Value = serde_json::from_str(&text).unwrap();
+        let hist = doc.get_field("histograms").and_then(|h| h.get_field("report_test.hist"));
+        let p99 = hist.and_then(|h| h.get_field("p99")).and_then(Value::as_u64).unwrap();
+        assert!((1_000_000..=1_125_000).contains(&p99), "p99 {p99} outside the HDR bound");
     }
 }

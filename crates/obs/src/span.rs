@@ -12,8 +12,11 @@
 //! computation being observed is never reordered or blocked mid-flight,
 //! preserving bitwise thread-count determinism.
 
-#[cfg(feature = "enabled")]
-pub use imp::{adopt, current_path, enter, open_spans, reset, snapshot, AdoptGuard, SpanGuard};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// One aggregated span path: every completed guard with this full path.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,226 +35,159 @@ pub struct SpanRecord {
     pub latency: crate::latency::Hist,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::SpanRecord;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+#[derive(Clone, Default)]
+struct Stat {
+    count: u64,
+    total_ns: u128,
+    min_ns: u128,
+    max_ns: u128,
+    latency: crate::latency::Hist,
+}
 
-    #[derive(Clone, Default)]
-    struct Stat {
-        count: u64,
-        total_ns: u128,
-        min_ns: u128,
-        max_ns: u128,
-        latency: crate::latency::Hist,
+static REGISTRY: Mutex<BTreeMap<String, Stat>> = Mutex::new(BTreeMap::new());
+/// Guards entered but not yet dropped, across all threads. A non-zero
+/// value in a final report means a span leaked (guard forgotten or a
+/// thread exited mid-span).
+static OPEN: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    /// This thread's slash-joined span path.
+    static PATH: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// RAII span guard; see [`enter`].
+#[must_use = "a span measures until dropped; binding it to _ drops immediately"]
+pub struct SpanGuard {
+    /// `None` when observation was off at entry (inert guard).
+    armed: Option<(usize, Instant)>,
+}
+
+/// Opens a span named `name` under the current thread path. Inert (no
+/// clock read, no path change) when observation is off. Accepts any
+/// `&str` (the request layer pushes formatted names); nothing outlives
+/// the call but the path bytes.
+pub fn enter(name: &str) -> SpanGuard {
+    if !crate::enabled() {
+        return SpanGuard { armed: None };
     }
-
-    static REGISTRY: Mutex<BTreeMap<String, Stat>> = Mutex::new(BTreeMap::new());
-    /// Guards entered but not yet dropped, across all threads. A non-zero
-    /// value in a final report means a span leaked (guard forgotten or a
-    /// thread exited mid-span).
-    static OPEN: AtomicI64 = AtomicI64::new(0);
-
-    thread_local! {
-        /// This thread's slash-joined span path.
-        static PATH: RefCell<String> = const { RefCell::new(String::new()) };
-    }
-
-    /// RAII span guard; see [`enter`].
-    #[must_use = "a span measures until dropped; binding it to _ drops immediately"]
-    pub struct SpanGuard {
-        /// `None` when observation was off at entry (inert guard).
-        armed: Option<(usize, Instant)>,
-    }
-
-    /// Opens a span named `name` under the current thread path. Inert (no
-    /// clock read, no path change) when observation is off. Accepts any
-    /// `&str` (the request layer pushes formatted names); nothing outlives
-    /// the call but the path bytes.
-    pub fn enter(name: &str) -> SpanGuard {
-        if !crate::enabled() {
-            return SpanGuard { armed: None };
+    // Fix the trace epoch before reading the clock, so the very first
+    // span's begin timestamp can never precede the epoch.
+    let _ = crate::trace::active();
+    let prev_len = PATH.with(|p| {
+        let mut p = p.borrow_mut();
+        let prev_len = p.len();
+        if !p.is_empty() {
+            p.push('/');
         }
-        // Fix the trace epoch before reading the clock, so the very first
-        // span's begin timestamp can never precede the epoch.
-        let _ = crate::trace::active();
-        let prev_len = PATH.with(|p| {
-            let mut p = p.borrow_mut();
-            let prev_len = p.len();
-            if !p.is_empty() {
-                p.push('/');
-            }
-            p.push_str(name);
-            prev_len
-        });
-        OPEN.fetch_add(1, Ordering::Relaxed);
-        SpanGuard { armed: Some((prev_len, Instant::now())) }
-    }
+        p.push_str(name);
+        prev_len
+    });
+    OPEN.fetch_add(1, Ordering::Relaxed);
+    SpanGuard { armed: Some((prev_len, Instant::now())) }
+}
 
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let Some((prev_len, start)) = self.armed.take() else { return };
-            let end = Instant::now();
-            let elapsed = end.duration_since(start).as_nanos();
-            let path = PATH.with(|p| {
-                let mut p = p.borrow_mut();
-                let full = p.clone();
-                p.truncate(prev_len);
-                full
-            });
-            {
-                let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-                // get_mut first: the steady state must not clone the path
-                match reg.get_mut(&path) {
-                    Some(stat) => fold(stat, elapsed),
-                    None => {
-                        let mut stat = Stat::default();
-                        fold(&mut stat, elapsed);
-                        reg.insert(path.clone(), stat);
-                    }
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let Some((prev_len, start)) = self.armed.take() else { return };
+        let end = Instant::now();
+        let elapsed = end.duration_since(start).as_nanos();
+        let path = PATH.with(|p| {
+            let mut p = p.borrow_mut();
+            let full = p.clone();
+            p.truncate(prev_len);
+            full
+        });
+        {
+            let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+            // get_mut first: the steady state must not clone the path
+            match reg.get_mut(&path) {
+                Some(stat) => fold(stat, elapsed),
+                None => {
+                    let mut stat = Stat::default();
+                    fold(&mut stat, elapsed);
+                    reg.insert(path.clone(), stat);
                 }
             }
-            OPEN.fetch_sub(1, Ordering::Relaxed);
-            // request attribution and trace events happen outside the
-            // registry lock; both only read the clock values captured above
-            if let Some(tag) = crate::context::current() {
-                crate::context::attribute_span(tag, &path, elapsed);
-            }
-            if crate::trace::active() {
-                crate::trace::record_pair(&path, start, end);
-            }
         }
-    }
-
-    fn fold(stat: &mut Stat, elapsed: u128) {
-        stat.count += 1;
-        stat.total_ns += elapsed;
-        stat.min_ns = if stat.count == 1 { elapsed } else { stat.min_ns.min(elapsed) };
-        stat.max_ns = stat.max_ns.max(elapsed);
-        stat.latency.record(elapsed.min(u64::MAX as u128) as u64);
-    }
-
-    /// The calling thread's current span path (empty when off or at root).
-    pub fn current_path() -> String {
-        if !crate::enabled() {
-            return String::new();
+        OPEN.fetch_sub(1, Ordering::Relaxed);
+        // request attribution and trace events happen outside the
+        // registry lock; both only read the clock values captured above
+        if let Some(tag) = crate::context::current() {
+            crate::context::attribute_span(tag, &path, elapsed);
         }
-        PATH.with(|p| p.borrow().clone())
-    }
-
-    /// Replaces this thread's path with `path` until the guard drops —
-    /// worker threads call this with the launching thread's
-    /// [`current_path`] so their spans nest under the launching phase.
-    #[must_use = "the adopted path reverts when the guard drops"]
-    pub fn adopt(path: &str) -> AdoptGuard {
-        if !crate::enabled() {
-            return AdoptGuard { prev: None };
+        if crate::trace::active() {
+            crate::trace::record_pair(&path, start, end);
         }
-        let prev = PATH.with(|p| std::mem::replace(&mut *p.borrow_mut(), path.to_string()));
-        AdoptGuard { prev: Some(prev) }
-    }
-
-    /// Restores the pre-[`adopt`] path on drop.
-    pub struct AdoptGuard {
-        prev: Option<String>,
-    }
-
-    impl Drop for AdoptGuard {
-        fn drop(&mut self) {
-            if let Some(prev) = self.prev.take() {
-                PATH.with(|p| *p.borrow_mut() = prev);
-            }
-        }
-    }
-
-    /// All aggregated spans, sorted by path (parents before children).
-    pub fn snapshot() -> Vec<SpanRecord> {
-        let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter()
-            .map(|(path, s)| SpanRecord {
-                path: path.clone(),
-                count: s.count,
-                total_ns: s.total_ns,
-                min_ns: s.min_ns,
-                max_ns: s.max_ns,
-                latency: s.latency.clone(),
-            })
-            .collect()
-    }
-
-    /// Number of guards currently open across all threads.
-    pub fn open_spans() -> i64 {
-        OPEN.load(Ordering::Relaxed)
-    }
-
-    /// Clears aggregated spans (open-guard accounting is untouched).
-    pub fn reset() {
-        REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use super::SpanRecord;
-
-    /// Inert guard; the `enabled` feature is compiled out.
-    pub struct SpanGuard;
-    /// Inert guard; the `enabled` feature is compiled out.
-    pub struct AdoptGuard;
-
-    // Explicit (empty) Drop impls so code written against the real guards —
-    // e.g. re-assigning a section guard to close the previous span — lints
-    // identically whether or not the feature is compiled in.
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {}
-    }
-    impl Drop for AdoptGuard {
-        fn drop(&mut self) {}
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn enter(_name: &str) -> SpanGuard {
-        SpanGuard
-    }
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    pub fn current_path() -> String {
-        String::new()
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn adopt(_path: &str) -> AdoptGuard {
-        AdoptGuard
-    }
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    pub fn snapshot() -> Vec<SpanRecord> {
-        Vec::new()
-    }
-
-    /// Always zero without the `enabled` feature.
-    #[inline(always)]
-    pub fn open_spans() -> i64 {
-        0
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn reset() {}
+fn fold(stat: &mut Stat, elapsed: u128) {
+    stat.count += 1;
+    stat.total_ns += elapsed;
+    stat.min_ns = if stat.count == 1 { elapsed } else { stat.min_ns.min(elapsed) };
+    stat.max_ns = stat.max_ns.max(elapsed);
+    stat.latency.record(elapsed.min(u64::MAX as u128) as u64);
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop::{adopt, current_path, enter, open_spans, reset, snapshot, AdoptGuard, SpanGuard};
+/// The calling thread's current span path (empty when off or at root).
+pub fn current_path() -> String {
+    if !crate::enabled() {
+        return String::new();
+    }
+    PATH.with(|p| p.borrow().clone())
+}
 
-#[cfg(all(test, feature = "enabled"))]
+/// Replaces this thread's path with `path` until the guard drops —
+/// worker threads call this with the launching thread's
+/// [`current_path`] so their spans nest under the launching phase.
+#[must_use = "the adopted path reverts when the guard drops"]
+pub fn adopt(path: &str) -> AdoptGuard {
+    if !crate::enabled() {
+        return AdoptGuard { prev: None };
+    }
+    let prev = PATH.with(|p| std::mem::replace(&mut *p.borrow_mut(), path.to_string()));
+    AdoptGuard { prev: Some(prev) }
+}
+
+/// Restores the pre-[`adopt`] path on drop.
+pub struct AdoptGuard {
+    prev: Option<String>,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            PATH.with(|p| *p.borrow_mut() = prev);
+        }
+    }
+}
+
+/// All aggregated spans, sorted by path (parents before children).
+pub fn snapshot() -> Vec<SpanRecord> {
+    let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    reg.iter()
+        .map(|(path, s)| SpanRecord {
+            path: path.clone(),
+            count: s.count,
+            total_ns: s.total_ns,
+            min_ns: s.min_ns,
+            max_ns: s.max_ns,
+            latency: s.latency.clone(),
+        })
+        .collect()
+}
+
+/// Number of guards currently open across all threads.
+pub fn open_spans() -> i64 {
+    OPEN.load(Ordering::Relaxed)
+}
+
+/// Clears aggregated spans (open-guard accounting is untouched).
+pub fn reset() {
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).clear();
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

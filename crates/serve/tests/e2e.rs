@@ -444,3 +444,30 @@ fn shutdown_request_stops_the_server() {
         "server answered after shutdown"
     );
 }
+
+/// A hostile frame nested far past the JSON parser's depth limit — 200 000
+/// `[` in 200 KB, well under `MAX_FRAME` — gets a typed `ok: false` reply
+/// instead of overflowing the worker's stack, and the daemon keeps serving:
+/// the same connection, and a new one.
+#[test]
+fn deeply_nested_frame_is_rejected_and_the_daemon_keeps_serving() {
+    let server = Server::bind(
+        motif_state(),
+        "127.0.0.1:0",
+        ServerConfig { workers: 1, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_frame(&mut stream, "[".repeat(200_000).as_bytes()).unwrap();
+    let frame = read_frame(&mut stream).unwrap().expect("daemon must answer the hostile frame");
+    let resp = Response::decode(&frame).unwrap();
+    assert!(!resp.ok);
+    assert!(resp.error.contains("recursion limit"), "{}", resp.error);
+    write_frame(&mut stream, &Request::ping().encode()).unwrap();
+    let frame = read_frame(&mut stream).unwrap().expect("the connection stays open");
+    assert!(Response::decode(&frame).unwrap().ok);
+    drop(stream);
+    let resp = Client::connect(addr).unwrap().call(&Request::stats()).unwrap();
+    assert!(resp.ok, "{}", resp.error);
+}

@@ -75,7 +75,7 @@ fn usage() -> ! {
                   [--upper <n>] [--stream] [--no-views] + train/dataset flags\n\
                   inspect <file.gvex>: dump the section table and stats\n\
          obs      diff <old.json> <new.json>: compare two OBS_report.json\n\
-                  files (schema v1 or v2) and exit 1 on a perf regression\n\
+                  files (schema v1, v2 or v3) and exit 1 on a perf regression\n\
                   [--span-pct <n>] [--counter-pct <n>] [--p99-pct <n>]\n\
                   [--min-span-ms <x>] [--min-counter <n>]"
     );

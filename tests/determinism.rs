@@ -97,40 +97,38 @@ fn explain_database_identical_with_observation_enabled() {
 
     assert_eq!(baseline, observed_1, "observation perturbed the serial pipeline");
     assert_eq!(baseline, observed_4, "observation perturbed the parallel pipeline");
-    if gvex::obs::enabled() {
-        // With the `obs` feature compiled in, the run must also have
-        // recorded the pipeline. (No open-span assertion here: sibling
-        // tests run concurrently and may legitimately hold spans open.)
-        let spans = gvex::obs::span::snapshot();
-        assert!(
-            spans.iter().any(|s| s.path.starts_with("explain_db")),
-            "no explain_db span recorded: {spans:?}"
-        );
-        // Both drivers ran inside a `session.explain` request scope, so the
-        // request registry attributes the work (counts, spans, counters).
-        let requests = gvex::obs::context::snapshot();
-        let explain = requests
-            .iter()
-            .find(|r| r.name == "session.explain")
-            .expect("session.explain request recorded");
-        assert!(explain.count >= 2, "both observed runs counted: {}", explain.count);
-        assert!(explain.total_ns > 0);
-        assert!(
-            explain.spans.iter().any(|(path, _, _)| path.starts_with("explain_db")),
-            "explain_db attributed to the request: {:?}",
-            explain.spans
-        );
-        // The ring recorded the observed runs. (The strict matched-pair
-        // assertion lives in `tests/obs_trace.rs` — its own process — and
-        // in ci.sh's flushed-file check: here sibling tests may have pairs
-        // mid-write while we snapshot, so only coarse balance is stable.)
-        let events = gvex::obs::trace::events();
-        assert!(!events.is_empty(), "trace ring recorded the observed runs");
-        let begins = events.iter().filter(|e| e.begin).count() as i64;
-        let ends = events.len() as i64 - begins;
-        assert!((begins - ends).abs() <= 64, "ring wildly unbalanced: {begins} B vs {ends} E");
-        assert_eq!(gvex::obs::trace::dropped() % 2, 0, "drops are counted in pairs");
-    }
+    // The run must also have recorded the pipeline. (No open-span
+    // assertion here: sibling tests run concurrently and may legitimately
+    // hold spans open.)
+    let spans = gvex::obs::span::snapshot();
+    assert!(
+        spans.iter().any(|s| s.path.starts_with("explain_db")),
+        "no explain_db span recorded: {spans:?}"
+    );
+    // Both drivers ran inside a `session.explain` request scope, so the
+    // request registry attributes the work (counts, spans, counters).
+    let requests = gvex::obs::context::snapshot();
+    let explain = requests
+        .iter()
+        .find(|r| r.name == "session.explain")
+        .expect("session.explain request recorded");
+    assert!(explain.count >= 2, "both observed runs counted: {}", explain.count);
+    assert!(explain.total_ns > 0);
+    assert!(
+        explain.spans.iter().any(|(path, _, _)| path.starts_with("explain_db")),
+        "explain_db attributed to the request: {:?}",
+        explain.spans
+    );
+    // The ring recorded the observed runs. (The strict matched-pair
+    // assertion lives in `tests/obs_trace.rs` — its own process — and
+    // in ci.sh's flushed-file check: here sibling tests may have pairs
+    // mid-write while we snapshot, so only coarse balance is stable.)
+    let events = gvex::obs::trace::events();
+    assert!(!events.is_empty(), "trace ring recorded the observed runs");
+    let begins = events.iter().filter(|e| e.begin).count() as i64;
+    let ends = events.len() as i64 - begins;
+    assert!((begins - ends).abs() <= 64, "ring wildly unbalanced: {begins} B vs {ends} E");
+    assert_eq!(gvex::obs::trace::dropped() % 2, 0, "drops are counted in pairs");
 }
 
 /// The batched engine under observation: mini-batch training and batched
@@ -159,19 +157,17 @@ fn batched_execution_identical_with_observation_enabled() {
     assert_eq!(baseline_labels, observed_labels, "observation perturbed batched inference");
     // chunk size must not change labels either, observed or not
     assert_eq!(observed_labels, observed_model.classify_database(&db, 3));
-    if gvex::obs::enabled() {
-        let counters = gvex::obs::metrics::counters();
-        for name in ["gnn.batch.graphs", "gnn.batch.nodes"] {
-            assert!(
-                counters.iter().any(|(n, v)| n == name && *v > 0),
-                "missing batch counter {name}: {counters:?}"
-            );
-        }
+    let counters = gvex::obs::metrics::counters();
+    for name in ["gnn.batch.graphs", "gnn.batch.nodes"] {
         assert!(
-            gvex::obs::metrics::histograms().iter().any(|(n, _)| n == "gnn.train.epoch_ms"),
-            "missing per-epoch wall-clock histogram"
+            counters.iter().any(|(n, v)| n == name && *v > 0),
+            "missing batch counter {name}: {counters:?}"
         );
     }
+    assert!(
+        gvex::obs::metrics::histograms().iter().any(|(n, _)| n == "gnn.train.epoch_ms"),
+        "missing per-epoch wall-clock histogram"
+    );
 }
 
 /// Round-trip parity through the `.gvex` store: for every synthetic

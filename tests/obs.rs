@@ -9,42 +9,48 @@
 use gvex::obs;
 use rayon::prelude::*;
 
-/// Skips the body when the `obs` feature is compiled out (e.g.
-/// `--no-default-features`): the no-op shims legitimately record nothing.
-fn obs_on() -> bool {
-    obs::set_enabled(true);
-    obs::enabled()
+/// The named histogram from the global registry.
+fn histogram(name: &str) -> obs::latency::Hist {
+    obs::metrics::histograms()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, h)| h)
+        .unwrap_or_else(|| panic!("histogram {name:?} not registered"))
 }
 
 #[test]
 fn histogram_bucketing_edges() {
-    if !obs_on() {
-        return;
+    obs::set_enabled(true);
+    // Zero, the exact unit buckets, an octave edge, the first value past
+    // the old fixed-bucket overflow bound (262 144), and u64::MAX.
+    for v in [0, 7, 8, 262_145, u64::MAX] {
+        obs::metrics::histogram_record("obs_it.hist_edges", v);
     }
-    // Zero, an exact bound, one past the last bound, and u64::MAX.
-    obs::metrics::histogram_record("obs_it.hist_edges", 0);
-    obs::metrics::histogram_record("obs_it.hist_edges", 4);
-    obs::metrics::histogram_record("obs_it.hist_edges", 262_144);
-    obs::metrics::histogram_record("obs_it.hist_edges", 262_145);
-    obs::metrics::histogram_record("obs_it.hist_edges", u64::MAX);
-    let (_, h) = obs::metrics::histograms()
-        .into_iter()
-        .find(|(name, _)| name == "obs_it.hist_edges")
-        .expect("histogram registered");
-    assert_eq!(h.counts[0], 1, "zero has its own bucket");
-    assert_eq!(h.counts[obs::metrics::bucket_index(4).unwrap()], 1, "bounds are upper-inclusive");
-    let last = obs::metrics::HISTOGRAM_BOUNDS.len() - 1;
-    assert_eq!(h.counts[last], 1, "the last bound is still in-range");
-    assert_eq!(h.overflow, 2, "everything past the last bound overflows");
-    assert_eq!(h.count, 5);
-    assert_eq!(h.sum, u64::MAX, "sum saturates instead of wrapping");
+    let h = histogram("obs_it.hist_edges");
+    assert_eq!(h.count(), 5);
+    assert_eq!(h.quantile(0.2), 0, "zero is exact");
+    assert_eq!(h.quantile(0.4), 7, "values below 8 are exact");
+    assert_eq!(h.quantile(0.6), 8, "an octave's first value is its own bucket bound");
+    let p80 = h.quantile(0.8);
+    assert!((262_145..=294_913).contains(&p80), "p80 {p80} outside the 12.5% HDR bound");
+    assert_eq!(h.quantile(1.0), u64::MAX, "nothing overflows");
+
+    // A daemon-shaped tail in microseconds, 1 ms .. 1 s uniform: every
+    // percentile reads back within the HDR bound, including the seconds
+    // range the fixed buckets used to lose to overflow.
+    for ms in 1..=1000u64 {
+        obs::metrics::histogram_record("obs_it.hist_tail_us", ms * 1000);
+    }
+    let (p50, p90, p99, p999) = histogram("obs_it.hist_tail_us").percentiles();
+    for (q, got) in [(0.5, p50), (0.9, p90), (0.99, p99), (0.999, p999)] {
+        let exact = (q * 1000.0) as u64 * 1000;
+        assert!(got >= exact && got as f64 <= exact as f64 * 1.125, "p{q}: {got} vs {exact}");
+    }
 }
 
 #[test]
 fn concurrent_counter_increments_from_rayon_pool() {
-    if !obs_on() {
-        return;
-    }
+    obs::set_enabled(true);
     const WORKERS: usize = 4;
     const PER_ITEM: u64 = 250;
     let pool = rayon::ThreadPoolBuilder::new().num_threads(WORKERS).build().unwrap();
@@ -63,18 +69,12 @@ fn concurrent_counter_increments_from_rayon_pool() {
         .map(|(_, v)| v)
         .expect("counter registered");
     assert_eq!(total, items.len() as u64 * PER_ITEM, "increments lost under contention");
-    let (_, h) = obs::metrics::histograms()
-        .into_iter()
-        .find(|(name, _)| name == "obs_it.concurrent_hist")
-        .expect("histogram registered");
-    assert_eq!(h.count, items.len() as u64);
+    assert_eq!(histogram("obs_it.concurrent_hist").count(), items.len() as u64);
 }
 
 #[test]
 fn report_json_parses_and_carries_schema() {
-    if !obs_on() {
-        return;
-    }
+    obs::set_enabled(true);
     // Seed at least one span, counter, and histogram so every section of
     // the document is non-trivial.
     {
@@ -100,20 +100,16 @@ fn report_json_parses_and_carries_schema() {
         field("counters").get_field("obs_it.report_counter").and_then(|v| v.as_u64()),
         Some(7)
     );
+    // Schema v3: a histogram is its count plus HDR percentiles in the
+    // recorded unit (3 sits in an exact unit bucket).
     let hist = field("histograms").get_field("obs_it.report_hist").expect("histogram in report");
     assert_eq!(hist.get_field("count").and_then(|v| v.as_u64()), Some(1));
-    assert_eq!(hist.get_field("sum").and_then(|v| v.as_u64()), Some(3));
-    let arr_len = |v: &serde_json::Value| match v {
-        serde_json::Value::Array(items) => items.len(),
-        other => panic!("expected array, got {other:?}"),
-    };
-    assert_eq!(
-        arr_len(hist.get_field("bounds").unwrap()),
-        arr_len(hist.get_field("counts").unwrap()),
-        "bounds and counts must stay aligned"
-    );
+    for key in ["p50", "p90", "p99", "p999"] {
+        assert_eq!(hist.get_field(key).and_then(|v| v.as_u64()), Some(3), "histogram {key}");
+    }
+    assert!(hist.get_field("bounds").is_none(), "v2 bucket arrays are gone");
 
-    // Schema v2: every span row carries latency percentiles, and the
+    // Since v2: every span row carries latency percentiles, and the
     // document has the requests and trace sections.
     let seeded = spans
         .iter()
@@ -130,13 +126,11 @@ fn report_json_parses_and_carries_schema() {
 }
 
 /// A request scope tags the spans and counters recorded under it — on the
-/// opening thread and across the rayon stand-in's workers — and the v2
+/// opening thread and across the rayon stand-in's workers — and the
 /// report carries the attribution.
 #[test]
 fn request_scope_attributes_across_the_pool() {
-    if !obs_on() {
-        return;
-    }
+    obs::set_enabled(true);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
     {
         let _req = obs::context::ReqScope::begin("obs_it.request");
@@ -172,7 +166,7 @@ fn request_scope_attributes_across_the_pool() {
         .expect("counter attributed to the request");
     assert_eq!(*attributed, 24, "every worker increment tagged to the request");
 
-    // The same numbers appear in the v2 report's requests section.
+    // The same numbers appear in the report's requests section.
     let text = obs::report::render_json();
     let doc: serde_json::Value = serde_json::from_str(&text).expect("report is valid JSON");
     let entry = doc

@@ -13,9 +13,6 @@ fn tiny_ring_drops_pairs_and_flushes_balanced_json() {
     // Before anything touches the ring in this process.
     std::env::set_var("GVEX_OBS_TRACE_CAP", "9"); // odd: rounds down to 8
     obs::set_enabled(true);
-    if !obs::enabled() {
-        return; // obs feature compiled out: nothing records
-    }
     obs::trace::force_active(true);
     for i in 0..16 {
         let _s = obs::span::enter(&format!("obs_trace.span{i}"));
