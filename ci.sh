@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # GVEX CI gate — run from the workspace root.
 #
-#   ./ci.sh          full gate: fmt, clippy, build, tests, bench smoke
+#   ./ci.sh          full gate: fmt, clippy, rustdoc, build, tests, bench smoke
 #   ./ci.sh --fast   skip the bench smoke (useful while iterating)
 #
 # The bench smoke runs the hot-path benchmark and rewrites
@@ -19,6 +19,9 @@ cargo clippy --workspace --release --all-targets -- -D warnings
 
 echo "==> cargo clippy (dev profile)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings, including broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --release

@@ -82,9 +82,9 @@ impl GStarX {
 }
 
 fn neighbors(g: &Graph, v: NodeId) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = g.neighbors(v).iter().map(|&(u, _)| u).collect();
+    let mut out: Vec<NodeId> = g.neighbors(v).map(|(u, _)| u).collect();
     if g.is_directed() {
-        out.extend(g.in_neighbors(v).iter().map(|&(u, _)| u));
+        out.extend(g.in_neighbors(v).map(|(u, _)| u));
         out.sort_unstable();
         out.dedup();
     }

@@ -175,7 +175,7 @@ fn main() {
     gvex_obs::report::emit();
 }
 
-/// Wraps an externally generated database in a [`Prepared`] by training the
+/// Wraps an externally generated database in a [`Prepared`](gvex_bench::harness::Prepared) by training the
 /// standard classifier on it.
 fn prepare_from(kind: DatasetKind, db: GraphDatabase) -> gvex_bench::harness::Prepared {
     prepare_from_with_epochs(kind, db, 150)

@@ -290,7 +290,7 @@ impl ApproxGvex {
 }
 
 fn is_adjacent_to(g: &Graph, v: NodeId, selected: &[bool]) -> bool {
-    g.neighbors(v).iter().chain(g.in_neighbors(v)).any(|&(u, _)| selected[u])
+    g.neighbors(v).chain(g.in_neighbors(v)).any(|(u, _)| selected[u])
 }
 
 #[cfg(test)]

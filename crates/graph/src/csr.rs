@@ -1,40 +1,37 @@
-//! Borrowed compressed-sparse-row graphs over raw columnar slices.
+//! Compressed-sparse-row graphs: the one adjacency layout of the workspace.
 //!
-//! The `.gvex` store (crate `gvex-store`) lays every graph of a database
-//! out as flat little-endian arrays — node types, a feature matrix,
-//! and CSR adjacency (`indptr` / `targets` / `etypes`) — so a memory-mapped
-//! file can be served without deserialization. [`CsrGraph`] is the borrowed
-//! view over one graph's slices of those arrays: construction is a handful
-//! of pointer/length pairs, never a copy.
+//! Per direction, an `indptr` of `num_nodes + 1` edge offsets windows into
+//! parallel `u32` `targets` / `etypes` arrays. An owned [`Graph`] keeps them
+//! in its own vectors; the `.gvex` store (crate `gvex-store`) keeps them as
+//! database-wide sections of a memory-mapped file. [`CsrGraph`] is the one
+//! borrowed form over either ([`Graph::csr`], `Store::graph`): a handful of
+//! pointer/length pairs, never a copy. Consumers take it through a
+//! [`GraphRef`](crate::GraphRef) view, and [`CsrGraph::to_graph`] copies
+//! the slices back into an owned, bitwise-identical [`Graph`].
 //!
-//! A `CsrGraph` plugs into the same consumers as an owned [`Graph`]: it
-//! converts into a full [`GraphRef`](crate::GraphRef) view (`From` impl in
-//! `view.rs`), so GCN propagation, batched inference, and the match index
-//! run directly over the mapped bytes. [`CsrGraph::to_graph`] materializes
-//! through the ordinary [`GraphBuilder`] path, which makes the round trip
-//! exact: a graph stored from a built [`Graph`] and rebuilt from its CSR
-//! slices is bitwise identical (the builder sorts and dedups, and the
-//! stored adjacency is already sorted and deduped).
+//! The invariants, enforced by [`CsrGraph::validate`] (run by the store per
+//! graph at open, and by [`Graph`]'s JSON decoder):
 //!
-//! Invariants callers must uphold (the store validates them at open):
-//!
-//! * `indptr` has `num_nodes + 1` entries, is non-decreasing, and
-//!   `indptr[i] - indptr[0]` indexes into `targets` / `etypes`;
-//! * `targets` holds *graph-local* node ids, each `< num_nodes`, sorted
-//!   within each node's range with at most one entry per neighbor;
-//! * `features.len() == num_nodes * feature_dim`;
-//! * for undirected graphs the in- and out-slices alias the same arrays.
+//! * `indptr` is non-decreasing and spans `targets` / `etypes` exactly,
+//!   which are parallel;
+//! * each row holds graph-local ids `< num_nodes`, strictly increasing
+//!   (sorted, one entry per neighbor), never the row's own node;
+//! * every out-entry `u → v` of type `t` has its mirror `(u, t)` in the
+//!   in-row of `v`, and in- and out-entries are equally many (undirected
+//!   in-slices alias the out-slices, so this is row symmetry);
+//! * `features.len() == num_nodes * feature_dim`.
 
-use crate::graph::{EdgeTypeId, Graph, GraphBuilder, NodeId, NodeTypeId};
+use crate::graph::{EdgeTypeId, Graph, NodeId, NodeTypeId, Rows};
+use gvex_linalg::Matrix;
 
 /// One direction of CSR adjacency: `indptr` windows into parallel
-/// `targets` / `etypes` arrays. `indptr` values are *global* (file-wide)
+/// `targets` / `etypes` arrays. `indptr` values may be *global* (file-wide)
 /// edge offsets; the slice's first entry is the base the local ranges are
 /// measured from, so a per-graph view is three subslices and no arithmetic
 /// at construction time.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrAdjacency<'a> {
-    /// `num_nodes + 1` non-decreasing edge offsets (global).
+    /// `num_nodes + 1` non-decreasing edge offsets.
     pub indptr: &'a [u64],
     /// Neighbor node ids (graph-local), concatenated per node.
     pub targets: &'a [u32],
@@ -62,21 +59,90 @@ impl<'a> CsrAdjacency<'a> {
     pub fn num_entries(&self) -> usize {
         self.targets.len()
     }
+
+    /// Checks the per-row invariants for a graph of `n` nodes: geometry,
+    /// monotone offsets, in-range targets, strictly increasing rows, no
+    /// self-loops.
+    fn validate(&self, n: usize) -> Result<(), GraphError> {
+        if self.indptr.len() != n + 1 {
+            return Err(GraphError::Shape("indptr must have num_nodes + 1 entries"));
+        }
+        if self.targets.len() != self.etypes.len() {
+            return Err(GraphError::Shape("targets and etypes must be parallel"));
+        }
+        if let Some(node) = self.indptr.windows(2).position(|w| w[0] > w[1]) {
+            return Err(GraphError::Indptr(node));
+        }
+        if self.indptr[n] - self.indptr[0] != self.targets.len() as u64 {
+            return Err(GraphError::Shape("indptr must span targets exactly"));
+        }
+        for u in 0..n {
+            let (targets, _) = self.row(u);
+            if let Some(&v) = targets.iter().find(|&&v| v as usize >= n) {
+                return Err(GraphError::TargetOutOfRange(u, v as usize));
+            }
+            if targets.contains(&(u as u32)) {
+                return Err(GraphError::SelfLoop(u));
+            }
+            if targets.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(GraphError::UnsortedRow(u));
+            }
+        }
+        Ok(())
+    }
 }
 
+/// Why a set of CSR arrays is not a valid graph — the typed result of
+/// [`CsrGraph::validate`]. Node ids are graph-local.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum GraphError {
+    /// Array lengths disagree with each other or with the node count.
+    Shape(&'static str),
+    /// `indptr` decreases after this node.
+    Indptr(NodeId),
+    /// This node (first field) lists a neighbor id `>= num_nodes` (second).
+    TargetOutOfRange(NodeId, NodeId),
+    /// This node's row is not strictly increasing (unsorted or duplicate).
+    UnsortedRow(NodeId),
+    /// This node lists itself as a neighbor.
+    SelfLoop(NodeId),
+    /// The edge `from → to` lacks its mirror entry (the reverse edge of an
+    /// undirected graph, the in-row entry of a directed one).
+    Unmirrored(NodeId, NodeId),
+}
+
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphError::Shape(what) => write!(f, "bad shape: {what}"),
+            GraphError::Indptr(u) => write!(f, "indptr decreases at node {u}"),
+            GraphError::TargetOutOfRange(u, v) => {
+                write!(f, "node {u} lists neighbor {v}, out of range")
+            }
+            GraphError::UnsortedRow(u) => {
+                write!(f, "neighbors of node {u} are not strictly increasing")
+            }
+            GraphError::SelfLoop(u) => write!(f, "self-loop at node {u}"),
+            GraphError::Unmirrored(u, v) => write!(f, "edge {u}->{v} has no mirror entry"),
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
+
 /// A borrowed CSR graph: every field is a slice into storage owned
-/// elsewhere (typically a memory-mapped `.gvex` file). `Copy` — passing one
-/// around costs a few pointer/length pairs.
+/// elsewhere (an owned [`Graph`] or a memory-mapped `.gvex` file). `Copy` —
+/// passing one around costs a few pointer/length pairs.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrGraph<'a> {
-    directed: bool,
-    feature_dim: usize,
-    node_types: &'a [NodeTypeId],
+    pub(crate) directed: bool,
+    pub(crate) feature_dim: usize,
+    pub(crate) node_types: &'a [NodeTypeId],
     /// Row-major `num_nodes × feature_dim` feature matrix.
-    features: &'a [f32],
-    out: CsrAdjacency<'a>,
+    pub(crate) features: &'a [f32],
+    pub(crate) out: CsrAdjacency<'a>,
     /// Aliases `out` for undirected graphs.
-    inn: CsrAdjacency<'a>,
+    pub(crate) inn: CsrAdjacency<'a>,
 }
 
 impl<'a> CsrGraph<'a> {
@@ -85,7 +151,8 @@ impl<'a> CsrGraph<'a> {
     /// # Panics
     /// If the slice lengths are mutually inconsistent (`indptr` length,
     /// feature matrix size, targets/etypes parallelism). Deeper properties
-    /// (sortedness, target range) are the storage layer's responsibility.
+    /// (sortedness, target range, mirroring) are checked by
+    /// [`Self::validate`], which the storage layer runs at open.
     pub fn new(
         directed: bool,
         node_types: &'a [NodeTypeId],
@@ -103,6 +170,34 @@ impl<'a> CsrGraph<'a> {
         Self { directed, feature_dim, node_types, features, out, inn }
     }
 
+    /// Checks every invariant listed in the [module docs](self), so that
+    /// no accessor can index out of bounds afterwards. Cost is
+    /// O(entries · log degree).
+    pub fn validate(&self) -> Result<(), GraphError> {
+        let n = self.num_nodes();
+        if n.checked_mul(self.feature_dim) != Some(self.features.len()) {
+            return Err(GraphError::Shape("features must hold num_nodes * feature_dim values"));
+        }
+        self.out.validate(n)?;
+        self.inn.validate(n)?;
+        if self.out.num_entries() != self.inn.num_entries() {
+            return Err(GraphError::Shape("in- and out-adjacency differ in size"));
+        }
+        // Rows are strictly increasing, so distinct out-entries mirror to
+        // distinct in-entries; with equal counts the in-rows are exactly
+        // the transpose (for undirected graphs: the rows are symmetric).
+        for u in 0..n {
+            for (v, t) in self.neighbors(u) {
+                let (sources, etypes) = self.inn.row(v);
+                match sources.binary_search(&(u as u32)) {
+                    Ok(i) if etypes[i] == t => {}
+                    _ => return Err(GraphError::Unmirrored(u, v)),
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Whether edges are directed.
     #[inline]
     pub fn is_directed(&self) -> bool {
@@ -115,8 +210,7 @@ impl<'a> CsrGraph<'a> {
         self.node_types.len()
     }
 
-    /// Number of edges `|E|` (each undirected edge counted once, exactly
-    /// like [`Graph::num_edges`]).
+    /// Number of edges `|E|` (each undirected edge counted once).
     #[inline]
     pub fn num_edges(&self) -> usize {
         if self.directed {
@@ -162,27 +256,17 @@ impl<'a> CsrGraph<'a> {
         &self.features[v * self.feature_dim..(v + 1) * self.feature_dim]
     }
 
-    /// Out-neighbors of `v` as parallel `(targets, etypes)` slices, sorted
-    /// by neighbor id (the stored order).
+    /// Out-neighbors of `v` with edge types, sorted by neighbor id. For
+    /// undirected graphs this is simply the neighbor list.
     #[inline]
-    pub fn out_row(&self, v: NodeId) -> (&'a [u32], &'a [u32]) {
-        self.out.row(v)
-    }
-
-    /// In-neighbors of `v` as parallel slices (equals [`Self::out_row`]
-    /// for undirected graphs).
-    #[inline]
-    pub fn in_row(&self, v: NodeId) -> (&'a [u32], &'a [u32]) {
-        self.inn.row(v)
-    }
-
-    /// Out-neighbors of `v` with edge types, in stored (sorted) order.
     pub fn neighbors(&self, v: NodeId) -> CsrNeighbors<'a> {
         let (t, e) = self.out.row(v);
         CsrNeighbors { targets: t.iter(), etypes: e.iter() }
     }
 
-    /// In-neighbors of `v` with edge types.
+    /// In-neighbors of `v` with edge types (equals [`Self::neighbors`] for
+    /// undirected graphs).
+    #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> CsrNeighbors<'a> {
         let (t, e) = self.inn.row(v);
         CsrNeighbors { targets: t.iter(), etypes: e.iter() }
@@ -194,8 +278,7 @@ impl<'a> CsrGraph<'a> {
         self.out.range(v).len()
     }
 
-    /// The type of the edge `u → v` if present (binary search, like
-    /// [`Graph::edge_type`]).
+    /// The type of the edge `u → v` if present (binary search in `u`'s row).
     pub fn edge_type(&self, u: NodeId, v: NodeId) -> Option<EdgeTypeId> {
         let (targets, etypes) = self.out.row(u);
         targets.binary_search(&(v as u32)).ok().map(|i| etypes[i])
@@ -207,23 +290,22 @@ impl<'a> CsrGraph<'a> {
         self.edge_type(u, v).is_some()
     }
 
-    /// Materializes an owned [`Graph`] through the ordinary builder path.
-    /// Because the stored adjacency came from a built graph (sorted,
-    /// deduped, no self-loops), the result is bitwise identical to the
-    /// graph that was stored.
+    /// Materializes an owned [`Graph`] by copying the slices (offsets
+    /// rebased to 0) — bitwise identical to the graph that was stored.
     pub fn to_graph(&self) -> Graph {
-        let mut b = GraphBuilder::new(self.directed);
-        for v in 0..self.num_nodes() {
-            b.add_node(self.node_type(v), self.feature_row(v));
+        Graph {
+            directed: self.directed,
+            node_types: self.node_types.to_vec(),
+            features: Matrix::from_vec(self.num_nodes(), self.feature_dim, self.features.to_vec()),
+            out: Rows::copy_of(self.out),
+            inn: if self.directed { Rows::copy_of(self.inn) } else { Rows::default() },
         }
-        for u in 0..self.num_nodes() {
-            for (v, t) in self.neighbors(u) {
-                if self.directed || u < v {
-                    b.add_edge(u, v, t);
-                }
-            }
-        }
-        b.build()
+    }
+}
+
+impl<'a> From<&'a Graph> for CsrGraph<'a> {
+    fn from(g: &'a Graph) -> Self {
+        g.csr()
     }
 }
 
@@ -245,6 +327,14 @@ impl Iterator for CsrNeighbors<'_> {
         Some((*v as NodeId, *t))
     }
 
+    /// Random access in O(1) (the random-walk sampler picks by index).
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<Self::Item> {
+        let v = self.targets.nth(n)?;
+        let t = self.etypes.nth(n)?;
+        Some((*v as NodeId, *t))
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.targets.size_hint()
     }
@@ -253,10 +343,8 @@ impl Iterator for CsrNeighbors<'_> {
 impl ExactSizeIterator for CsrNeighbors<'_> {}
 
 /// Owned columnar CSR arrays for a whole graph database, in exactly the
-/// layout the `.gvex` sections use. This is the *write-side* encoder (and
-/// the test harness for the borrowed view): [`CsrColumns::push`] appends a
-/// built [`Graph`], and [`CsrColumns::graph`] hands back the borrowed
-/// [`CsrGraph`] over the accumulated arrays.
+/// layout the `.gvex` sections use — the store's write-side encoder:
+/// [`CsrColumns::push`] appends a built [`Graph`] by slice copies.
 #[derive(Clone, Debug, Default)]
 pub struct CsrColumns {
     /// Cumulative node counts, one entry per graph plus the leading 0.
@@ -296,69 +384,44 @@ impl CsrColumns {
         c
     }
 
-    /// Number of graphs pushed so far.
-    pub fn num_graphs(&self) -> usize {
-        self.node_ptr.len() - 1
-    }
-
-    /// Total node count across all pushed graphs.
-    pub fn total_nodes(&self) -> usize {
-        self.node_types.len()
-    }
-
-    /// Appends one built graph's columns.
+    /// Appends one built graph's columns (slice copies, offsets shifted to
+    /// the database-wide position).
     ///
     /// # Panics
     /// If the graph's directedness or feature dimensionality differs from
-    /// the column set's, or a node id exceeds `u32` range.
+    /// the column set's.
     pub fn push(&mut self, g: &Graph) {
         assert_eq!(g.is_directed(), self.directed, "mixed directedness in one database");
         assert_eq!(g.feature_dim(), self.feature_dim, "mixed feature dims in one database");
-        assert!(g.num_nodes() <= u32::MAX as usize, "graph too large for u32 node ids");
-        for v in 0..g.num_nodes() {
-            self.node_types.push(g.node_type(v));
-            self.features.extend_from_slice(g.features().row(v));
-            for &(w, t) in g.neighbors(v) {
-                self.out_targets.push(w as u32);
-                self.out_etypes.push(t);
-            }
-            self.out_indptr.push(self.out_targets.len() as u64);
-            if self.directed {
-                for &(w, t) in g.in_neighbors(v) {
-                    self.in_targets.push(w as u32);
-                    self.in_etypes.push(t);
-                }
-                self.in_indptr.push(self.in_targets.len() as u64);
-            }
+        let c = g.csr();
+        self.node_types.extend_from_slice(c.node_types);
+        self.features.extend_from_slice(c.features);
+        append_rows(&mut self.out_indptr, &mut self.out_targets, &mut self.out_etypes, c.out);
+        if self.directed {
+            append_rows(&mut self.in_indptr, &mut self.in_targets, &mut self.in_etypes, c.inn);
         }
         self.node_ptr.push(self.node_types.len() as u64);
     }
+}
 
-    /// The borrowed [`CsrGraph`] over graph `i`'s slices.
-    pub fn graph(&self, i: usize) -> CsrGraph<'_> {
-        let n0 = self.node_ptr[i] as usize;
-        let n1 = self.node_ptr[i + 1] as usize;
-        let out = slice_adjacency(&self.out_indptr, &self.out_targets, &self.out_etypes, n0, n1);
-        let inn = if self.directed {
-            slice_adjacency(&self.in_indptr, &self.in_targets, &self.in_etypes, n0, n1)
-        } else {
-            out
-        };
-        CsrGraph::new(
-            self.directed,
-            &self.node_types[n0..n1],
-            &self.features[n0 * self.feature_dim..n1 * self.feature_dim],
-            self.feature_dim,
-            out,
-            inn,
-        )
-    }
+/// Appends one graph's rows to database-wide arrays, shifting its offsets
+/// past the entries already there.
+fn append_rows(
+    indptr: &mut Vec<u64>,
+    targets: &mut Vec<u32>,
+    etypes: &mut Vec<u32>,
+    rows: CsrAdjacency<'_>,
+) {
+    let shift = targets.len() as u64;
+    indptr.extend(rows.indptr[1..].iter().map(|&p| p - rows.indptr[0] + shift));
+    targets.extend_from_slice(rows.targets);
+    etypes.extend_from_slice(rows.etypes);
 }
 
 /// Carves one graph's adjacency out of database-wide CSR arrays: the
 /// `indptr` window keeps its global values (the first entry is the base),
-/// while `targets`/`etypes` are cut down to the graph's own range. Shared
-/// by [`CsrColumns::graph`] and the `.gvex` store reader.
+/// while `targets`/`etypes` are cut down to the graph's own range. Used by
+/// the `.gvex` store reader.
 pub fn slice_adjacency<'a>(
     indptr: &'a [u64],
     targets: &'a [u32],
@@ -375,6 +438,30 @@ pub fn slice_adjacency<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CsrColumns {
+        /// The borrowed [`CsrGraph`] over graph `i`'s slices, carved the
+        /// way the store reader carves its mapped columns.
+        pub(crate) fn graph(&self, i: usize) -> CsrGraph<'_> {
+            let n0 = self.node_ptr[i] as usize;
+            let n1 = self.node_ptr[i + 1] as usize;
+            let out =
+                slice_adjacency(&self.out_indptr, &self.out_targets, &self.out_etypes, n0, n1);
+            let inn = if self.directed {
+                slice_adjacency(&self.in_indptr, &self.in_targets, &self.in_etypes, n0, n1)
+            } else {
+                out
+            };
+            CsrGraph::new(
+                self.directed,
+                &self.node_types[n0..n1],
+                &self.features[n0 * self.feature_dim..n1 * self.feature_dim],
+                self.feature_dim,
+                out,
+                inn,
+            )
+        }
+    }
 
     fn diamond() -> Graph {
         let mut b = Graph::builder(false);
@@ -424,9 +511,9 @@ mod tests {
             assert_eq!(c.feature_row(v), g.features().row(v));
             assert_eq!(c.degree(v), g.degree(v));
             let nbrs: Vec<_> = c.neighbors(v).collect();
-            assert_eq!(nbrs, g.neighbors(v).to_vec(), "node {v}");
+            assert_eq!(nbrs, g.neighbors(v).collect::<Vec<_>>(), "node {v}");
             let inn: Vec<_> = c.in_neighbors(v).collect();
-            assert_eq!(inn, g.in_neighbors(v).to_vec(), "node {v} (in)");
+            assert_eq!(inn, g.in_neighbors(v).collect::<Vec<_>>(), "node {v} (in)");
         }
         for u in 0..g.num_nodes() {
             for v in 0..g.num_nodes() {
@@ -445,7 +532,7 @@ mod tests {
         assert!(!c.has_edge(1, 0));
         for v in 0..4 {
             let inn: Vec<_> = c.in_neighbors(v).collect();
-            assert_eq!(inn, g.in_neighbors(v).to_vec());
+            assert_eq!(inn, g.in_neighbors(v).collect::<Vec<_>>());
         }
         assert_eq!(c.to_graph(), g);
     }
@@ -463,7 +550,7 @@ mod tests {
         let mut cols = CsrColumns::new(false, 2);
         cols.push(&a);
         cols.push(&b);
-        assert_eq!(cols.num_graphs(), 2);
+        assert_eq!(cols.node_ptr.len() - 1, 2);
         assert_eq!(cols.graph(0).to_graph(), a);
         assert_eq!(cols.graph(1).to_graph(), b);
         // the second graph's targets are graph-local
@@ -479,5 +566,45 @@ mod tests {
         let c = cols.graph(0);
         assert!(c.is_empty());
         assert_eq!(c.num_edges(), 0);
+    }
+
+    #[test]
+    fn built_graphs_validate() {
+        for g in [diamond(), chain_directed(5), Graph::builder(true).build()] {
+            assert_eq!(g.csr().validate(), Ok(()));
+        }
+    }
+
+    /// Each documented invariant, broken once, yields its typed error.
+    #[test]
+    fn validator_names_each_broken_invariant() {
+        let g = chain_directed(3); // 0 -> 1 -> 2
+        let c = g.csr();
+        let check =
+            |out: CsrAdjacency<'_>, inn: CsrAdjacency<'_>| CsrGraph { out, inn, ..c }.validate();
+        let adj = |indptr, targets, etypes| CsrAdjacency { indptr, targets, etypes };
+        assert_eq!(
+            check(adj(&[0, 1, 2], &[1, 2], &[1, 0]), c.inn),
+            Err(GraphError::Shape("indptr must have num_nodes + 1 entries"))
+        );
+        assert_eq!(check(adj(&[0, 2, 1, 2], &[1, 2], &[1, 0]), c.inn), Err(GraphError::Indptr(1)));
+        assert_eq!(
+            check(adj(&[0, 1, 2, 2], &[1, 9], &[1, 0]), c.inn),
+            Err(GraphError::TargetOutOfRange(1, 9))
+        );
+        assert_eq!(
+            check(adj(&[0, 1, 2, 2], &[1, 1], &[1, 0]), c.inn),
+            Err(GraphError::SelfLoop(1))
+        );
+        assert_eq!(
+            check(adj(&[0, 2, 2, 2], &[2, 1], &[1, 0]), c.inn),
+            Err(GraphError::UnsortedRow(0))
+        );
+        assert_eq!(
+            check(adj(&[0, 1, 2, 2], &[1, 2], &[0, 0]), c.inn),
+            Err(GraphError::Unmirrored(0, 1))
+        );
+        let short = CsrGraph { features: &c.features[1..], ..c };
+        assert!(matches!(short.validate(), Err(GraphError::Shape(_))));
     }
 }

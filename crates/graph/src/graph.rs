@@ -1,7 +1,15 @@
-//! The core typed, attributed graph structure.
+//! The owned attributed graph: typed nodes and edges, a dense feature
+//! matrix, and CSR adjacency in exactly the layout the `.gvex` store maps
+//! (see [`crate::csr`]; an undirected graph stores one copy, which its
+//! in-rows alias). [`Graph::csr`] is the one borrowed form, and every
+//! adjacency accessor delegates to it. Graphs come from [`GraphBuilder`],
+//! from views ([`Graph::induced_subgraph`]), from [`CsrGraph::to_graph`],
+//! or from JSON — the historical `{directed, node_types, features, out_adj,
+//! in_adj, num_edges}` object, decoded through [`CsrGraph::validate`].
 
+use crate::csr::{CsrAdjacency, CsrGraph, CsrNeighbors, GraphError};
 use gvex_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Index of a node within one [`Graph`].
 pub type NodeId = usize;
@@ -12,27 +20,100 @@ pub type EdgeTypeId = u32;
 
 /// A connected or disconnected attributed graph `G = (V, E, T, L)`.
 ///
-/// Nodes are dense indices `0..n`. Adjacency is stored as per-node sorted
-/// neighbor lists, once for out-edges and once for in-edges; for undirected
-/// graphs the two lists are identical and every undirected edge is counted
-/// once in [`Graph::num_edges`].
+/// Nodes are dense indices `0..n`. Adjacency is CSR, sorted by neighbor id;
+/// for undirected graphs every edge appears in both endpoints' rows and is
+/// counted once in [`Graph::num_edges`].
 ///
 /// Node features `T(v)` live in a dense `|V| × D` matrix (`D` may be zero for
 /// datasets without features, mirroring REDDIT-BINARY / MALNET in Table 3).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Graph {
-    directed: bool,
-    node_types: Vec<NodeTypeId>,
-    features: Matrix,
-    out_adj: Vec<Vec<(NodeId, EdgeTypeId)>>,
-    in_adj: Vec<Vec<(NodeId, EdgeTypeId)>>,
-    num_edges: usize,
+    pub(crate) directed: bool,
+    pub(crate) node_types: Vec<NodeTypeId>,
+    pub(crate) features: Matrix,
+    pub(crate) out: Rows,
+    /// In-rows of a directed graph; empty when undirected (the in-rows
+    /// alias `out`).
+    pub(crate) inn: Rows,
+}
+
+/// One direction of owned CSR adjacency; `indptr` starts at 0.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct Rows {
+    indptr: Vec<u64>,
+    targets: Vec<u32>,
+    etypes: Vec<u32>,
+}
+
+impl Rows {
+    fn as_adjacency(&self) -> CsrAdjacency<'_> {
+        CsrAdjacency { indptr: &self.indptr, targets: &self.targets, etypes: &self.etypes }
+    }
+
+    /// Copies borrowed rows, rebasing their offsets to 0.
+    pub(crate) fn copy_of(a: CsrAdjacency<'_>) -> Self {
+        let base = a.indptr[0];
+        Rows {
+            indptr: a.indptr.iter().map(|&p| p - base).collect(),
+            targets: a.targets.to_vec(),
+            etypes: a.etypes.to_vec(),
+        }
+    }
+
+    /// Rows of an `n`-node graph from `(row, target, type)` entries in any
+    /// order: sorted by target within each row, and of duplicate
+    /// `(row, target)` entries the smallest type is kept.
+    pub(crate) fn from_entries(n: usize, mut entries: Vec<(u32, u32, u32)>) -> Self {
+        entries.sort_unstable();
+        entries.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1));
+        let mut indptr = vec![0u64; n + 1];
+        for &(u, _, _) in &entries {
+            indptr[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            indptr[i + 1] += indptr[i];
+        }
+        Rows {
+            indptr,
+            targets: entries.iter().map(|e| e.1).collect(),
+            etypes: entries.iter().map(|e| e.2).collect(),
+        }
+    }
+
+    /// Rows from per-node `(target, type)` lists, kept as given (the JSON
+    /// decoder validates them afterwards).
+    fn from_lists(lists: Vec<Vec<(u32, u32)>>) -> Self {
+        let mut rows = Rows { indptr: vec![0], ..Rows::default() };
+        for list in lists {
+            for (v, t) in list {
+                rows.targets.push(v);
+                rows.etypes.push(t);
+            }
+            rows.indptr.push(rows.targets.len() as u64);
+        }
+        rows
+    }
 }
 
 impl Graph {
     /// Starts building a graph. See [`GraphBuilder`].
     pub fn builder(directed: bool) -> GraphBuilder {
         GraphBuilder::new(directed)
+    }
+
+    /// The borrowed CSR form of this graph — the one view every consumer
+    /// reads (see [`crate::csr`]).
+    #[inline]
+    pub fn csr(&self) -> CsrGraph<'_> {
+        let out = self.out.as_adjacency();
+        CsrGraph {
+            directed: self.directed,
+            feature_dim: self.features.cols(),
+            node_types: &self.node_types,
+            features: self.features.as_slice(),
+            out,
+            inn: if self.directed { self.inn.as_adjacency() } else { out },
+        }
     }
 
     /// Whether edges are directed.
@@ -50,7 +131,7 @@ impl Graph {
     /// Number of edges `|E|` (each undirected edge counted once).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.csr().num_edges()
     }
 
     /// True when the graph has no nodes.
@@ -86,35 +167,26 @@ impl Graph {
     /// Out-neighbors of `v` with edge types, sorted by neighbor id.
     /// For undirected graphs this is simply the neighbor list.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeTypeId)] {
-        &self.out_adj[v]
+    pub fn neighbors(&self, v: NodeId) -> CsrNeighbors<'_> {
+        self.csr().neighbors(v)
     }
 
     /// In-neighbors of `v` with edge types (equals [`Self::neighbors`] for
     /// undirected graphs).
     #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[(NodeId, EdgeTypeId)] {
-        &self.in_adj[v]
+    pub fn in_neighbors(&self, v: NodeId) -> CsrNeighbors<'_> {
+        self.csr().in_neighbors(v)
     }
 
     /// Degree of `v` (out-degree for directed graphs).
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.out_adj[v].len()
-    }
-
-    /// Degree counting both directions (used for GCN symmetrization).
-    pub fn total_degree(&self, v: NodeId) -> usize {
-        if self.directed {
-            self.out_adj[v].len() + self.in_adj[v].len()
-        } else {
-            self.out_adj[v].len()
-        }
+        self.csr().degree(v)
     }
 
     /// Returns the type of the edge `u → v` if present.
     pub fn edge_type(&self, u: NodeId, v: NodeId) -> Option<EdgeTypeId> {
-        self.out_adj[u].binary_search_by_key(&v, |&(n, _)| n).ok().map(|i| self.out_adj[u][i].1)
+        self.csr().edge_type(u, v)
     }
 
     /// True if the edge `u → v` exists (`u — v` for undirected graphs).
@@ -126,16 +198,10 @@ impl Graph {
     /// Iterates over every edge once as `(u, v, type)`. For undirected
     /// graphs, yields each edge with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeTypeId)> + '_ {
-        self.out_adj.iter().enumerate().flat_map(move |(u, nbrs)| {
-            nbrs.iter().filter_map(
-                move |&(v, t)| {
-                    if self.directed || u < v {
-                        Some((u, v, t))
-                    } else {
-                        None
-                    }
-                },
-            )
+        (0..self.num_nodes()).flat_map(move |u| {
+            self.neighbors(u)
+                .filter(move |&(v, _)| self.directed || u < v)
+                .map(move |(v, t)| (u, v, t))
         })
     }
 
@@ -144,8 +210,7 @@ impl Graph {
         if self.is_empty() {
             return 0.0;
         }
-        let ends = if self.directed { self.num_edges } else { 2 * self.num_edges };
-        ends as f64 / self.num_nodes() as f64
+        self.out.targets.len() as f64 / self.num_nodes() as f64
     }
 
     /// The node-induced subgraph on `nodes` (order defines the new ids).
@@ -153,48 +218,16 @@ impl Graph {
     /// Duplicates in `nodes` are ignored after the first occurrence. The
     /// result keeps features and all edges between retained nodes, and
     /// records the old↔new id mapping (needed to map explanations back onto
-    /// the original graph).
-    #[allow(clippy::needless_range_loop)] // index parallels a second structure
+    /// the original graph). Materializes [`Graph::view_of`].
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> InducedSubgraph {
-        let mut old_of_new = Vec::with_capacity(nodes.len());
-        let mut new_of_old = vec![usize::MAX; self.num_nodes()];
-        for &v in nodes {
-            assert!(v < self.num_nodes(), "node {v} out of range");
-            if new_of_old[v] == usize::MAX {
-                new_of_old[v] = old_of_new.len();
-                old_of_new.push(v);
-            }
-        }
-        let n = old_of_new.len();
-        let mut b = GraphBuilder::new(self.directed);
-        for &old in &old_of_new {
-            b.add_node(self.node_types[old], self.features.row(old));
-        }
-        for new_u in 0..n {
-            let old_u = old_of_new[new_u];
-            for &(old_v, t) in &self.out_adj[old_u] {
-                let new_v = new_of_old[old_v];
-                if new_v == usize::MAX {
-                    continue;
-                }
-                if self.directed || new_u < new_v || old_u == old_v {
-                    b.add_edge(new_u, new_v, t);
-                }
-            }
-        }
-        InducedSubgraph { graph: b.build(), old_of_new, new_of_old }
+        self.view_of(nodes).into_induced()
     }
 
     /// The remainder `G \ Gs`: the subgraph induced by all nodes *not* in
     /// `removed` (the paper's counterfactual test input, §2.2).
+    /// Materializes [`Graph::view_without`].
     pub fn remove_nodes(&self, removed: &[NodeId]) -> InducedSubgraph {
-        let mut keep_mask = vec![true; self.num_nodes()];
-        for &v in removed {
-            assert!(v < self.num_nodes(), "node {v} out of range");
-            keep_mask[v] = false;
-        }
-        let keep: Vec<NodeId> = (0..self.num_nodes()).filter(|&v| keep_mask[v]).collect();
-        self.induced_subgraph(&keep)
+        self.view_without(removed).into_induced()
     }
 
     /// Connected components (ignoring edge direction), each sorted by id.
@@ -213,7 +246,7 @@ impl Graph {
             stack.push(start);
             while let Some(u) = stack.pop() {
                 comps[id].push(u);
-                for &(v, _) in self.out_adj[u].iter().chain(&self.in_adj[u]) {
+                for (v, _) in self.neighbors(u).chain(self.in_neighbors(u)) {
                     if comp[v] == usize::MAX {
                         comp[v] = id;
                         stack.push(v);
@@ -235,34 +268,60 @@ impl Graph {
     /// Nodes within `k` hops of `v` (ignoring direction), including `v`,
     /// sorted by id.
     pub fn k_hop_neighborhood(&self, v: NodeId, k: usize) -> Vec<NodeId> {
-        let mut dist = vec![usize::MAX; self.num_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        dist[v] = 0;
-        queue.push_back(v);
-        let mut out = vec![v];
-        while let Some(u) = queue.pop_front() {
-            if dist[u] == k {
-                continue;
-            }
-            for &(w, _) in self.out_adj[u].iter().chain(&self.in_adj[u]) {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[u] + 1;
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        let dist = crate::traversal::bfs_distances(self, v);
+        (0..self.num_nodes()).filter(|&u| dist[u] <= k).collect()
     }
+}
 
-    /// Re-types every node to `t` and drops features (helper for datasets
-    /// without node attributes, which get a constant default feature later).
-    pub fn with_uniform_type(mut self, t: NodeTypeId) -> Self {
-        for nt in &mut self.node_types {
-            *nt = t;
+/// Per-node `(neighbor, edge type)` lists, the JSON adjacency shape.
+fn adjacency_value<'a>(n: usize, row: impl Fn(NodeId) -> CsrNeighbors<'a>) -> Value {
+    Value::Array((0..n).map(|v| Value::Array(row(v).map(|e| e.to_value()).collect())).collect())
+}
+
+impl Serialize for Graph {
+    fn to_value(&self) -> Value {
+        let c = self.csr();
+        let n = self.num_nodes();
+        Value::Object(vec![
+            ("directed".into(), self.directed.to_value()),
+            ("node_types".into(), self.node_types.to_value()),
+            ("features".into(), self.features.to_value()),
+            ("out_adj".into(), adjacency_value(n, |v| c.neighbors(v))),
+            ("in_adj".into(), adjacency_value(n, |v| c.in_neighbors(v))),
+            ("num_edges".into(), self.num_edges().to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Graph {
+    /// Decodes the JSON form and validates it like the store does at open:
+    /// any broken invariant is an `Err`, never a graph that panics later.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, serde::Error> {
+            T::from_value(v.get_field(key).ok_or_else(|| serde::Error::missing_field(key))?)
         }
-        self
+        let invalid = |e: GraphError| serde::Error::custom(format!("invalid graph: {e}"));
+        let directed: bool = field(v, "directed")?;
+        let out = Rows::from_lists(field(v, "out_adj")?);
+        let inn = Rows::from_lists(field(v, "in_adj")?);
+        if !directed && inn != out {
+            return Err(invalid(GraphError::Shape("undirected in_adj must equal out_adj")));
+        }
+        let g = Graph {
+            directed,
+            node_types: field(v, "node_types")?,
+            features: field(v, "features")?,
+            out,
+            inn: if directed { inn } else { Rows::default() },
+        };
+        if g.features.rows() != g.num_nodes() {
+            return Err(invalid(GraphError::Shape("features must have one row per node")));
+        }
+        g.csr().validate().map_err(invalid)?;
+        if field::<usize>(v, "num_edges")? != g.num_edges() {
+            return Err(invalid(GraphError::Shape("num_edges disagrees with the adjacency")));
+        }
+        Ok(g)
     }
 }
 
@@ -310,7 +369,8 @@ impl InducedSubgraph {
 pub struct GraphBuilder {
     directed: bool,
     node_types: Vec<NodeTypeId>,
-    features: Vec<Vec<f32>>,
+    /// Row-major features of the nodes added so far.
+    features: Vec<f32>,
     feature_dim: Option<usize>,
     edges: Vec<(NodeId, NodeId, EdgeTypeId)>,
 }
@@ -337,7 +397,7 @@ impl GraphBuilder {
             Some(d) => assert_eq!(d, feat.len(), "inconsistent feature dimension"),
         }
         self.node_types.push(t);
-        self.features.push(feat.to_vec());
+        self.features.extend_from_slice(feat);
         self.node_types.len() - 1
     }
 
@@ -356,48 +416,35 @@ impl GraphBuilder {
         self.edges.push((u, v, t));
     }
 
-    /// Finalizes the graph: deduplicates edges, drops self-loops, sorts
-    /// neighbor lists.
+    /// Finalizes the graph: deduplicates edges (keeping the smallest type),
+    /// drops self-loops, sorts neighbor rows.
+    ///
+    /// # Panics
+    /// If the graph has more nodes than `u32` ids can address.
     pub fn build(self) -> Graph {
         let n = self.node_types.len();
-        let d = self.feature_dim.unwrap_or(0);
-        let mut fm = Matrix::zeros(n, d);
-        for (i, f) in self.features.iter().enumerate() {
-            fm.set_row(i, f);
-        }
-        let mut out_adj: Vec<Vec<(NodeId, EdgeTypeId)>> = vec![Vec::new(); n];
-        let mut in_adj: Vec<Vec<(NodeId, EdgeTypeId)>> = vec![Vec::new(); n];
+        assert!(n <= u32::MAX as usize, "graph too large for u32 node ids");
+        let features = Matrix::from_vec(n, self.feature_dim.unwrap_or(0), self.features);
+        let mut out = Vec::with_capacity(self.edges.len() * 2);
+        let mut inn = Vec::new();
         for (u, v, t) in self.edges {
             if u == v {
                 continue;
             }
-            out_adj[u].push((v, t));
-            in_adj[v].push((u, t));
-            if !self.directed {
-                out_adj[v].push((u, t));
-                in_adj[u].push((v, t));
+            let (u, v) = (u as u32, v as u32);
+            out.push((u, v, t));
+            if self.directed {
+                inn.push((v, u, t));
+            } else {
+                out.push((v, u, t));
             }
-        }
-        let mut num_edges = 0;
-        for adj in out_adj.iter_mut() {
-            adj.sort_unstable();
-            adj.dedup_by_key(|&mut (v, _)| v);
-            num_edges += adj.len();
-        }
-        for adj in in_adj.iter_mut() {
-            adj.sort_unstable();
-            adj.dedup_by_key(|&mut (v, _)| v);
-        }
-        if !self.directed {
-            num_edges /= 2;
         }
         Graph {
             directed: self.directed,
             node_types: self.node_types,
-            features: fm,
-            out_adj,
-            in_adj,
-            num_edges,
+            features,
+            out: Rows::from_entries(n, out),
+            inn: if self.directed { Rows::from_entries(n, inn) } else { Rows::default() },
         }
     }
 }
@@ -457,9 +504,9 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
         assert_eq!(g.edge_type(0, 1), Some(3));
-        assert_eq!(g.in_neighbors(1), &[(0, 3)]);
+        assert_eq!(g.in_neighbors(1).collect::<Vec<_>>(), vec![(0, 3)]);
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.total_degree(0), 1);
+        assert_eq!(g.degree(0) + g.in_neighbors(0).len(), 1);
     }
 
     #[test]
@@ -527,5 +574,82 @@ mod tests {
     fn avg_degree_undirected() {
         let g = path3();
         assert!((g.avg_degree() - 4.0 / 3.0).abs() < 1e-9);
+    }
+    /// Decodes `g`'s JSON value after `edit` has doctored it.
+    fn decode_edited(g: &Graph, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let Value::Object(mut fields) = g.to_value() else { panic!("graphs encode as objects") };
+        edit(&mut fields);
+        match Graph::from_value(&Value::Object(fields)) {
+            Ok(_) => "ok".into(),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    fn set(fields: &mut [(String, Value)], key: &str, v: Value) {
+        fields.iter_mut().find(|(k, _)| k == key).expect("field present").1 = v;
+    }
+
+    fn adj(rows: &[&[(u64, u64)]]) -> Value {
+        Value::Array(
+            rows.iter()
+                .map(|r| Value::Array(r.iter().map(|&(v, t)| (v, t).to_value()).collect()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn json_round_trips_and_validates() {
+        let mut b = Graph::builder(true);
+        b.add_node(0, &[]);
+        b.add_node(1, &[]);
+        b.add_edge(1, 0, 4);
+        for g in [path3(), b.build()] {
+            assert_eq!(Graph::from_value(&g.to_value()).unwrap(), g);
+            assert_eq!(decode_edited(&g, |_| {}), "ok");
+        }
+    }
+
+    /// Every hostile payload is a decode error, never a graph that panics
+    /// on first use.
+    #[test]
+    fn hostile_json_is_rejected() {
+        let g = path3();
+        let far: &[&[(u64, u64)]] = &[&[(99, 0)], &[(0, 0), (2, 0)], &[(1, 0)]];
+        let err = decode_edited(&g, |f| {
+            set(f, "out_adj", adj(far));
+            set(f, "in_adj", adj(far));
+        });
+        assert!(err.contains("out of range"), "{err}");
+        let one_way: &[&[(u64, u64)]] = &[&[(1, 0)], &[(2, 0)], &[(1, 0)]];
+        let err = decode_edited(&g, |f| {
+            set(f, "out_adj", adj(one_way));
+            set(f, "in_adj", adj(one_way));
+        });
+        assert!(err.contains("no mirror"), "{err}");
+        let unsorted: &[&[(u64, u64)]] = &[&[(1, 0)], &[(2, 0), (0, 0)], &[(1, 0)]];
+        let err = decode_edited(&g, |f| {
+            set(f, "out_adj", adj(unsorted));
+            set(f, "in_adj", adj(unsorted));
+        });
+        assert!(err.contains("strictly increasing"), "{err}");
+        let err = decode_edited(&g, |f| set(f, "in_adj", adj(&[&[], &[], &[]])));
+        assert!(err.contains("in_adj must equal out_adj"), "{err}");
+        let err = decode_edited(&g, |f| set(f, "num_edges", Value::U64(7)));
+        assert!(err.contains("num_edges"), "{err}");
+        let err = decode_edited(&g, |f| set(f, "node_types", Value::Array(vec![Value::U64(0)])));
+        assert!(err.contains("bad shape"), "{err}");
+        // 2 · 2^63 wraps to 0 = data.len() in unchecked arithmetic
+        let mut b = Graph::builder(false);
+        b.add_node(0, &[]);
+        b.add_node(0, &[]);
+        let huge = Value::Object(vec![
+            ("rows".into(), Value::U64(2)),
+            ("cols".into(), Value::U64(1 << 63)),
+            ("data".into(), Value::Array(Vec::new())),
+        ]);
+        let err = decode_edited(&b.build(), |f| set(f, "features", huge));
+        assert!(err.contains("bad shape"), "{err}");
+        let err = decode_edited(&g, |f| set(f, "out_adj", Value::Null));
+        assert!(err.contains("expected array"), "{err}");
     }
 }

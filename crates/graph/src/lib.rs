@@ -4,8 +4,10 @@
 //! `G = (V, E, T, L)` carries node features `T(v)` and node/edge *types*
 //! `L(·)` (distinct from the task's class labels). This crate provides:
 //!
-//! * [`Graph`] — a compact adjacency-list graph with typed nodes/edges and a
-//!   dense feature matrix,
+//! * [`Graph`] — a compact CSR graph with typed nodes/edges and a dense
+//!   feature matrix; [`CsrGraph`] is its one borrowed form, shared with the
+//!   memory-mapped `.gvex` store, and [`CsrGraph::validate`] the one check
+//!   of the CSR invariants ([`GraphError`]),
 //! * subgraph algebra: node-induced subgraphs ([`Graph::induced_subgraph`]),
 //!   node removal `G \ Gs` ([`Graph::remove_nodes`]), connected components,
 //!   and k-hop neighborhoods — the primitives the explanation algorithms and
@@ -28,7 +30,7 @@ pub mod traversal;
 pub mod view;
 
 pub use bitset::BitSet;
-pub use csr::{CsrAdjacency, CsrColumns, CsrGraph, CsrNeighbors};
+pub use csr::{CsrAdjacency, CsrColumns, CsrGraph, CsrNeighbors, GraphError};
 pub use db::{GlobalNodeId, GraphDatabase, LabelGroups};
 pub use graph::{EdgeTypeId, Graph, GraphBuilder, InducedSubgraph, NodeId, NodeTypeId};
 pub use registry::TypeRegistry;

@@ -2,7 +2,7 @@
 
 use gvex_gnn::propagation::NormAdj;
 use gvex_gnn::{ForwardTrace, GcnModel};
-use gvex_graph::{Graph, GraphRef};
+use gvex_graph::{CsrGraph, Graph, GraphRef};
 use gvex_linalg::kernels::accumulate_row_sum;
 use gvex_linalg::Matrix;
 use rand::rngs::SmallRng;
@@ -56,7 +56,7 @@ pub fn influence_matrix<'a>(
     match mode {
         InfluenceMode::Expected => expected(&g, k),
         InfluenceMode::Realized => realized(model, &g),
-        InfluenceMode::MonteCarlo { walks } => monte_carlo(&g.as_graph(), k, walks, rng),
+        InfluenceMode::MonteCarlo { walks } => g.with_csr(|c| monte_carlo(c, k, walks, rng)),
         InfluenceMode::Auto => {
             if auto_prefers_realized(model, &g) {
                 realized(model, &g)
@@ -83,7 +83,7 @@ pub fn influence_matrix_with_trace<'a>(
     match mode {
         InfluenceMode::Expected => expected(&g, k),
         InfluenceMode::Realized => realized_with_trace(model, &g, trace),
-        InfluenceMode::MonteCarlo { walks } => monte_carlo(&g.as_graph(), k, walks, rng),
+        InfluenceMode::MonteCarlo { walks } => g.with_csr(|c| monte_carlo(c, k, walks, rng)),
         InfluenceMode::Auto => {
             if auto_prefers_realized(model, &g) {
                 realized_with_trace(model, &g, trace)
@@ -134,13 +134,13 @@ const SEED_BATCH: usize = 32;
 
 /// Realized-Jacobian influence via **batched** forward-mode propagation.
 ///
-/// All `|V|·D` seeds — or [`SEED_BATCH`] of them at a time — are stacked as
+/// All `|V|·D` seeds — or `SEED_BATCH` of them at a time — are stacked as
 /// consecutive `n`-row blocks of one tall matrix, so each GCN layer becomes
 /// one dense product against the shared layer weight, one blocked sparse
 /// product, and one ReLU-gating sweep, instead of `|V|·D` separate small
 /// propagations. A seed's derivative block is moreover zero outside the
 /// seed node's `l`-hop neighbourhood after `l` layers, and those
-/// neighbourhoods are precomputed once per call ([`hop_supports`]), so
+/// neighbourhoods are precomputed once per call (`hop_supports`), so
 /// every stage touches only its live rows — no per-call sparsity census,
 /// no zeroing of rows that stay dead. Numerically this agrees with
 /// [`realized_reference`] to FMA/reassociation rounding (≪ 1e-5; pinned by
@@ -373,7 +373,7 @@ pub fn realized_reference(model: &GcnModel, g: &Graph) -> Matrix {
     normalize_rows(i1)
 }
 
-fn monte_carlo(g: &Graph, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
+fn monte_carlo(g: CsrGraph<'_>, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
     let n = g.num_nodes();
     // One independently seeded stream per source node, derived serially from
     // the caller's RNG: source nodes then fan out across rayon workers
@@ -390,16 +390,16 @@ fn monte_carlo(g: &Graph, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
             for _ in 0..k {
                 // neighbors + self loop, uniform choice
                 // (degree-proportional approximation of Ã's support).
-                let out = g.neighbors(cur);
-                let inn = if g.is_directed() { g.in_neighbors(cur) } else { &[] };
-                let deg = out.len() + inn.len();
-                let pick = rng.gen_range(0..=deg);
-                cur = if pick == deg {
+                let mut out = g.neighbors(cur);
+                let out_deg = out.len();
+                let in_deg = if g.is_directed() { g.in_neighbors(cur).len() } else { 0 };
+                let pick = rng.gen_range(0..=out_deg + in_deg);
+                cur = if pick == out_deg + in_deg {
                     cur // self loop
-                } else if pick < out.len() {
-                    out[pick].0
+                } else if pick < out_deg {
+                    out.nth(pick).expect("pick below out-degree").0
                 } else {
-                    inn[pick - out.len()].0
+                    g.in_neighbors(cur).nth(pick - out_deg).expect("pick below degree").0
                 };
             }
             row[cur] += 1.0;

@@ -610,21 +610,17 @@ pub fn check_equivalent(
     Equivalence { ok: true, detail: String::new() }
 }
 
-fn copy_nodes(g: &Graph, skip: Option<usize>) -> (gvex_graph::GraphBuilder, Vec<usize>) {
+fn copy_nodes(g: &Graph) -> gvex_graph::GraphBuilder {
     let mut b = Graph::builder(g.is_directed());
-    let mut remap = vec![usize::MAX; g.num_nodes()];
-    for (v, slot) in remap.iter_mut().enumerate() {
-        if Some(v) == skip {
-            continue;
-        }
-        *slot = b.add_node(g.node_type(v), g.features().row(v));
+    for v in 0..g.num_nodes() {
+        b.add_node(g.node_type(v), g.features().row(v));
     }
-    (b, remap)
+    b
 }
 
 /// `g` plus edge `u-v` of type `t`.
 pub fn with_edge_added(g: &Graph, u: usize, v: usize, t: u32) -> Graph {
-    let (mut b, _) = copy_nodes(g, None);
+    let mut b = copy_nodes(g);
     for (a, c, et) in g.edges() {
         b.add_edge(a, c, et);
     }
@@ -634,7 +630,7 @@ pub fn with_edge_added(g: &Graph, u: usize, v: usize, t: u32) -> Graph {
 
 /// `g` without edge `u-v` (either endpoint order for undirected graphs).
 pub fn with_edge_removed(g: &Graph, u: usize, v: usize) -> Graph {
-    let (mut b, _) = copy_nodes(g, None);
+    let mut b = copy_nodes(g);
     for (a, c, et) in g.edges() {
         let doomed = (a == u && c == v) || (!g.is_directed() && a == v && c == u);
         if !doomed {
@@ -653,7 +649,7 @@ pub fn with_node_added(
     attach: &[usize],
     etype: u32,
 ) -> Graph {
-    let (mut b, _) = copy_nodes(g, None);
+    let mut b = copy_nodes(g);
     for (a, c, et) in g.edges() {
         b.add_edge(a, c, et);
     }
@@ -667,13 +663,7 @@ pub fn with_node_added(
 /// `g` without node `node` and its incident edges; later node ids shift
 /// down by one.
 pub fn with_node_removed(g: &Graph, node: usize) -> Graph {
-    let (mut b, remap) = copy_nodes(g, Some(node));
-    for (a, c, et) in g.edges() {
-        if a != node && c != node {
-            b.add_edge(remap[a], remap[c], et);
-        }
-    }
-    b.build()
+    g.remove_nodes(&[node]).graph
 }
 
 #[cfg(test)]

@@ -340,4 +340,27 @@ mod tests {
                 .expect("extra fields ignored");
         assert_eq!(m.parse(), Ok(Op::AddEdge { graph: 1, u: 0, v: 2, etype: 0 }));
     }
+
+    /// An `add_graph` payload whose adjacency names a node the graph does
+    /// not have is a typed parse error, not an engine panic later.
+    #[test]
+    fn hostile_add_graph_payload_is_a_parse_error() {
+        let mut b = Graph::builder(false);
+        for _ in 0..6 {
+            b.add_node(0, &[1.0]);
+        }
+        for v in 1..6 {
+            b.add_edge(v - 1, v, 0);
+        }
+        let line = to_jsonl(&[Op::AddGraph { graph: b.build(), truth: 0 }.to_wire()]);
+        assert!(parse_jsonl(&line).is_ok());
+        let out_only = line.replacen("\"out_adj\":[[[1,0]]", "\"out_adj\":[[[99,0]]", 1);
+        let both = out_only.replacen("\"in_adj\":[[[1,0]]", "\"in_adj\":[[[99,0]]", 1);
+        for (hostile, why) in [(out_only, "in_adj must equal out_adj"), (both, "out of range")] {
+            match parse_jsonl(&hostile) {
+                Err(LogError::Parse { line: 1, msg }) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
 }

@@ -89,9 +89,9 @@ fn refine_colors(g: &Graph) -> Vec<usize> {
         let keys: Vec<(usize, Vec<SigEntry>)> = (0..n)
             .map(|v| {
                 let mut sig: Vec<SigEntry> =
-                    g.neighbors(v).iter().map(|&(u, et)| (et as u64, colors[u], 0)).collect();
+                    g.neighbors(v).map(|(u, et)| (et as u64, colors[u], 0)).collect();
                 if g.is_directed() {
-                    sig.extend(g.in_neighbors(v).iter().map(|&(u, et)| (et as u64, colors[u], 1)));
+                    sig.extend(g.in_neighbors(v).map(|(u, et)| (et as u64, colors[u], 1)));
                 }
                 sig.sort_unstable();
                 (colors[v], sig)

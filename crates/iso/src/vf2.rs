@@ -20,7 +20,7 @@
 //! whichever is cheaper for the target at hand.
 
 use crate::index::MatchIndex;
-use gvex_graph::{BitSet, Graph, GraphRef, NodeId};
+use gvex_graph::{BitSet, CsrGraph, Graph, GraphRef, NodeId};
 use std::ops::ControlFlow;
 
 /// Matching semantics and search limits.
@@ -71,9 +71,8 @@ pub(crate) fn matching_order(pattern: &Graph) -> Vec<NodeId> {
             // interleaved node.
             let mut nbrs: Vec<NodeId> = pattern
                 .neighbors(u)
-                .iter()
                 .chain(pattern.in_neighbors(u))
-                .map(|&(v, _)| v)
+                .map(|(v, _)| v)
                 .filter(|&v| !seen[v])
                 .collect();
             nbrs.sort_unstable();
@@ -92,7 +91,7 @@ pub(crate) fn matching_order(pattern: &Graph) -> Vec<NodeId> {
 
 struct Vf2<'a, F> {
     pattern: &'a Graph,
-    target: &'a Graph,
+    target: CsrGraph<'a>,
     opts: MatchOptions,
     order: Vec<NodeId>,
     /// pattern node -> target node (usize::MAX = unmapped)
@@ -114,7 +113,7 @@ impl<'a, F: FnMut(&[NodeId]) -> ControlFlow<()>> Vf2<'a, F> {
             return false;
         }
         // out-edges of p to already-mapped nodes must exist with same type
-        for &(q, et) in self.pattern.neighbors(p) {
+        for (q, et) in self.pattern.neighbors(p) {
             let tq = self.map[q];
             if tq == usize::MAX {
                 continue;
@@ -126,7 +125,7 @@ impl<'a, F: FnMut(&[NodeId]) -> ControlFlow<()>> Vf2<'a, F> {
         }
         // in-edges (directed graphs; for undirected these repeat the above)
         if self.pattern.is_directed() {
-            for &(q, et) in self.pattern.in_neighbors(p) {
+            for (q, et) in self.pattern.in_neighbors(p) {
                 let tq = self.map[q];
                 if tq == usize::MAX {
                     continue;
@@ -160,15 +159,14 @@ impl<'a, F: FnMut(&[NodeId]) -> ControlFlow<()>> Vf2<'a, F> {
     fn candidates(&self, p: NodeId) -> Vec<NodeId> {
         // prefer extending from a mapped pattern neighbor: candidates are the
         // image's neighbors, not the whole graph.
-        for &(q, _) in self.pattern.neighbors(p).iter().chain(self.pattern.in_neighbors(p)) {
+        for (q, _) in self.pattern.neighbors(p).chain(self.pattern.in_neighbors(p)) {
             let tq = self.map[q];
             if tq != usize::MAX {
                 return self
                     .target
                     .neighbors(tq)
-                    .iter()
                     .chain(self.target.in_neighbors(tq))
-                    .map(|&(t, _)| t)
+                    .map(|(t, _)| t)
                     .filter(|&t| !self.used[t])
                     .collect();
             }
@@ -210,7 +208,7 @@ impl<'a, F: FnMut(&[NodeId]) -> ControlFlow<()>> Vf2<'a, F> {
 /// node and run the cheap residual checks on its bits.
 struct FrontierCtx<'a> {
     pattern: &'a Graph,
-    target: &'a Graph,
+    target: CsrGraph<'a>,
     index: &'a MatchIndex,
     induced: bool,
     /// `false` when every pattern edge and every target edge share one edge
@@ -221,15 +219,16 @@ struct FrontierCtx<'a> {
 impl<'a> FrontierCtx<'a> {
     fn new(
         pattern: &'a Graph,
-        target: &'a Graph,
+        target: CsrGraph<'a>,
         index: &'a MatchIndex,
         opts: MatchOptions,
     ) -> Self {
         debug_assert_eq!(index.num_nodes(), target.num_nodes());
         debug_assert_eq!(index.is_directed(), target.is_directed());
         let check_edge_types = match index.uniform_edge_type() {
-            Some(t) => (0..pattern.num_nodes())
-                .any(|v| pattern.neighbors(v).iter().any(|&(_, et)| et != t)),
+            Some(t) => {
+                (0..pattern.num_nodes()).any(|v| pattern.neighbors(v).any(|(_, et)| et != t))
+            }
             None => pattern.num_edges() > 0,
         };
         FrontierCtx { pattern, target, index, induced: opts.induced, check_edge_types }
@@ -288,14 +287,14 @@ impl<'a> FrontierCtx<'a> {
             return false;
         }
         if self.check_edge_types {
-            for &(q, et) in self.pattern.neighbors(p) {
+            for (q, et) in self.pattern.neighbors(p) {
                 let tq = map[q];
                 if tq != usize::MAX && self.target.edge_type(t, tq) != Some(et) {
                     return false;
                 }
             }
             if self.pattern.is_directed() {
-                for &(q, et) in self.pattern.in_neighbors(p) {
+                for (q, et) in self.pattern.in_neighbors(p) {
                     let tq = map[q];
                     if tq != usize::MAX && self.target.edge_type(tq, t) != Some(et) {
                         return false;
@@ -362,12 +361,13 @@ impl<'a, F: FnMut(&[NodeId]) -> ControlFlow<()>> Vf2Bitset<'a, F> {
 /// patterns against one target should build the index once and use
 /// [`for_each_embedding_with_index`]. The engines emit identical embedding
 /// sequences, so the dispatch is invisible.
-pub fn for_each_embedding(
+pub fn for_each_embedding<'a>(
     pattern: &Graph,
-    target: &Graph,
+    target: impl Into<CsrGraph<'a>>,
     opts: MatchOptions,
     cb: impl FnMut(&[NodeId]) -> ControlFlow<()>,
 ) {
+    let target = target.into();
     if target.num_nodes() < INDEX_MIN_TARGET_NODES {
         for_each_embedding_reference(pattern, target, opts, cb);
     } else {
@@ -378,12 +378,13 @@ pub fn for_each_embedding(
 
 /// The original neighbor-list-scanning VF2, retained as the differential
 /// baseline for the bitset engine.
-pub fn for_each_embedding_reference(
+pub fn for_each_embedding_reference<'a>(
     pattern: &Graph,
-    target: &Graph,
+    target: impl Into<CsrGraph<'a>>,
     opts: MatchOptions,
     cb: impl FnMut(&[NodeId]) -> ControlFlow<()>,
 ) {
+    let target = target.into();
     if pattern.num_nodes() > target.num_nodes() {
         return;
     }
@@ -404,13 +405,14 @@ pub fn for_each_embedding_reference(
 /// The bitset-frontier engine, matching against a prebuilt [`MatchIndex`]
 /// for `target`. Emits the same embeddings in the same order as
 /// [`for_each_embedding_reference`].
-pub fn for_each_embedding_with_index(
+pub fn for_each_embedding_with_index<'a>(
     pattern: &Graph,
-    target: &Graph,
+    target: impl Into<CsrGraph<'a>>,
     index: &MatchIndex,
     opts: MatchOptions,
     cb: impl FnMut(&[NodeId]) -> ControlFlow<()>,
 ) {
+    let target = target.into();
     if pattern.num_nodes() > target.num_nodes() {
         return;
     }
@@ -451,14 +453,15 @@ pub struct Extension {
 /// enumeration is exhaustive **only if `seeds` holds *all* parent
 /// embeddings** (untruncated); callers must fall back to a scratch search
 /// otherwise.
-pub fn extend_embeddings(
+pub fn extend_embeddings<'a>(
     pattern: &Graph,
-    target: &Graph,
+    target: impl Into<CsrGraph<'a>>,
     index: &MatchIndex,
     seeds: &[Vec<NodeId>],
     new_node: NodeId,
     opts: MatchOptions,
 ) -> Extension {
+    let target = target.into();
     let ctx = FrontierCtx::new(pattern, target, index, opts);
     let mut used = BitSet::new(target.num_nodes());
     let mut frontier = BitSet::new(target.num_nodes());
@@ -494,9 +497,9 @@ pub fn extend_embeddings(
 /// Like [`for_each_embedding`], but only yields embeddings whose image
 /// contains the target node `anchor` — the incremental-matching primitive
 /// (`IncPMatch`): when a node arrives, only embeddings through it are new.
-pub fn for_each_embedding_anchored(
+pub fn for_each_embedding_anchored<'a>(
     pattern: &Graph,
-    target: &Graph,
+    target: impl Into<CsrGraph<'a>>,
     anchor: NodeId,
     opts: MatchOptions,
     mut cb: impl FnMut(&[NodeId]) -> ControlFlow<()>,
@@ -534,12 +537,12 @@ pub fn find_one<'a>(
     target: impl Into<GraphRef<'a>>,
     opts: MatchOptions,
 ) -> Option<Vec<NodeId>> {
-    let target = target.into();
-    let target = target.as_graph();
     let mut result = None;
-    for_each_embedding(pattern, &target, opts, |map| {
-        result = Some(map.to_vec());
-        ControlFlow::Break(())
+    target.into().with_csr(|target| {
+        for_each_embedding(pattern, target, opts, |map| {
+            result = Some(map.to_vec());
+            ControlFlow::Break(())
+        })
     });
     result
 }
@@ -552,12 +555,12 @@ pub fn enumerate<'a>(
     target: impl Into<GraphRef<'a>>,
     opts: MatchOptions,
 ) -> Vec<Vec<NodeId>> {
-    let target = target.into();
-    let target = target.as_graph();
     let mut out = Vec::new();
-    for_each_embedding(pattern, &target, opts, |map| {
-        out.push(map.to_vec());
-        ControlFlow::Continue(())
+    target.into().with_csr(|target| {
+        for_each_embedding(pattern, target, opts, |map| {
+            out.push(map.to_vec());
+            ControlFlow::Continue(())
+        })
     });
     out
 }

@@ -190,7 +190,7 @@ impl Matrix {
     /// [`Self::matmul_reference`] by the usual FMA rounding (≪ 1e-5
     /// relative; the differential property tests pin this). Accumulation
     /// order over `k` is the same ascending order as the reference kernel.
-    /// Above [`PAR_MACS_THRESHOLD`] multiply-accumulates the row blocks fan
+    /// Above `PAR_MACS_THRESHOLD` multiply-accumulates the row blocks fan
     /// out across rayon workers; each output row is still computed by exactly
     /// one worker in the same `k` order, keeping results bitwise independent
     /// of the thread count. The per-element zero skip of the reference kernel
@@ -198,7 +198,7 @@ impl Matrix {
     /// LHS, entirely-zero rows are skipped outright (forward-mode Jacobian
     /// seed blocks are mostly dead rows), and only when the live rows are
     /// themselves ultra-sparse (fewer than one nonzero in
-    /// [`ELEM_SKIP_DEN`] entries — one-hot feature matrices) does the exact
+    /// `ELEM_SKIP_DEN` entries — one-hot feature matrices) does the exact
     /// per-element zero-skip loop replace the micro-kernel.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);

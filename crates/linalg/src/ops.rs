@@ -53,7 +53,7 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
 ///
 /// Returns `(loss, grad_logits)` where `grad_logits = softmax(z) - onehot(y)`
 /// — the standard fused softmax/cross-entropy gradient. Uses the shared
-/// [`stable_exp_in_place`] core, so its probabilities match the scalar
+/// `stable_exp_in_place` core, so its probabilities match the scalar
 /// softmax bitwise.
 pub fn cross_entropy_with_grad(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
     assert!(target < logits.len(), "target class out of range");

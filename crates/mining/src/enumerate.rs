@@ -36,9 +36,9 @@ pub fn connected_subsets(
 fn undirected_neighbors(g: &Graph, v: NodeId) -> Vec<NodeId> {
     // For undirected graphs out- and in-lists are identical, so chaining
     // them would double every neighbor; only directed graphs need both.
-    let mut nbrs: Vec<NodeId> = g.neighbors(v).iter().map(|&(u, _)| u).collect();
+    let mut nbrs: Vec<NodeId> = g.neighbors(v).map(|(u, _)| u).collect();
     if g.is_directed() {
-        nbrs.extend(g.in_neighbors(v).iter().map(|&(u, _)| u));
+        nbrs.extend(g.in_neighbors(v).map(|(u, _)| u));
         nbrs.sort_unstable();
         nbrs.dedup();
     }

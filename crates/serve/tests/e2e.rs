@@ -471,3 +471,48 @@ fn deeply_nested_frame_is_rejected_and_the_daemon_keeps_serving() {
     let resp = Client::connect(addr).unwrap().call(&Request::stats()).unwrap();
     assert!(resp.ok, "{}", resp.error);
 }
+
+/// One request over a raw connection. Reads time out, so a daemon whose
+/// worker died mid-request fails the test instead of hanging it.
+fn call_within(stream: &mut TcpStream, req: &Request) -> std::io::Result<Response> {
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
+    write_frame(stream, &req.encode())?;
+    let frame = read_frame(stream)?.ok_or(std::io::ErrorKind::UnexpectedEof)?;
+    Response::decode(&frame).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// An `add_graph` whose payload names neighbor 99 in a 6-node graph is
+/// rejected when the mutation log is decoded — before the ingest engine
+/// (and its mutex) ever sees it — and the daemon keeps applying valid
+/// mutations and answering explains afterwards.
+#[test]
+fn hostile_add_graph_payload_is_rejected_and_the_daemon_keeps_serving() {
+    let server = Server::bind(
+        motif_state(),
+        "127.0.0.1:0",
+        ServerConfig { workers: 1, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let payload = motif_db().graph(1).clone();
+    assert_eq!(payload.num_nodes(), 6);
+    let line = to_jsonl(&[Op::AddGraph { graph: payload, truth: 1 }.to_wire()]);
+    let hostile = line.replacen("\"out_adj\":[[[1,0]]", "\"out_adj\":[[[99,0]]", 1);
+    assert_ne!(hostile, line, "the payload must actually be doctored");
+    let resp =
+        call_within(&mut stream, &Request { upper: Some(4), ..Request::mutate(&hostile, false) })
+            .expect("the daemon must answer the hostile mutate");
+    assert!(!resp.ok);
+    assert!(resp.error.contains("bad mutation log"), "{}", resp.error);
+
+    let good = to_jsonl(&[Op::AddEdge { graph: 0, u: 0, v: 2, etype: 0 }.to_wire()]);
+    let resp =
+        call_within(&mut stream, &Request { upper: Some(4), ..Request::mutate(&good, true) })
+            .expect("the connection stays open");
+    assert!(resp.ok, "{}", resp.error);
+    assert!(resp.body.contains("\"published\":true"), "{}", resp.body);
+    drop(stream);
+    let mut fresh = TcpStream::connect(server.addr()).unwrap();
+    let resp = call_within(&mut fresh, &Request::explain(0, 4, false)).unwrap();
+    assert!(resp.ok, "{}", resp.error);
+}

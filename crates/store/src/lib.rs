@@ -17,7 +17,7 @@
 //!   [`Store::database`] / [`Store::model`] / [`Store::views_json`]
 //!   materialize owned values bitwise identical to what was stored.
 //!
-//! Format details live in [`format`]; failure modes in [`error`]
+//! Format details live in [`format`](mod@format); failure modes in [`error`]
 //! (corruption is typed data, never a panic). See DESIGN.md §14.
 
 pub mod crc;

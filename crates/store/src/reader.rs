@@ -1,7 +1,8 @@
 //! Opening and serving `.gvex` files: the zero-copy hot path.
 //!
 //! [`Store::open`] maps the file, validates the header, table, and every
-//! section CRC, and type-checks the column geometry — all without a single
+//! section CRC, type-checks the column geometry, and checks every graph's
+//! CSR invariants ([`CsrGraph::validate`]) — all without a single
 //! allocation proportional to data size (the only heap use is the decoded
 //! table, the parsed metadata, and — in the portability fallback — the
 //! aligned file buffer itself). After a successful open, every accessor is
@@ -19,7 +20,7 @@ use crate::mmap::Mapping;
 use crate::{crc::crc32, StoreMeta};
 use gvex_gnn::GcnModel;
 use gvex_graph::csr::slice_adjacency;
-use gvex_graph::{CsrGraph, Graph, GraphDatabase};
+use gvex_graph::{CsrGraph, GraphDatabase};
 use gvex_linalg::Matrix;
 use std::path::Path;
 
@@ -35,8 +36,9 @@ impl Store {
     /// Opens and fully validates a `.gvex` file.
     ///
     /// Validation covers the magic, version, declared length, table CRC,
-    /// per-section CRCs, 64-byte section alignment, and the mutual
-    /// consistency of the column lengths with the metadata. Corruption is
+    /// per-section CRCs, 64-byte section alignment, the mutual
+    /// consistency of the column lengths with the metadata, and the CSR
+    /// invariants of every graph ([`CsrGraph::validate`]). Corruption is
     /// an `Err`, never a panic. Allocation on this path is O(sections),
     /// independent of data size.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
@@ -125,7 +127,7 @@ impl Store {
             return Err(StoreError::Malformed("node_types length mismatch".into()));
         }
         let features = self.typed::<f32>(SectionId::Features)?;
-        if features.len() != total_nodes * m.feature_dim {
+        if total_nodes.checked_mul(m.feature_dim) != Some(features.len()) {
             return Err(StoreError::Malformed("feature matrix size mismatch".into()));
         }
         let dirs: &[SectionId] = if m.directed {
@@ -164,6 +166,13 @@ impl Store {
                     ind.name()
                 )));
             }
+        }
+        // The geometry above makes every per-graph carve in-bounds; now the
+        // per-row invariants, so no accessor can index out of range later.
+        for i in 0..m.num_graphs {
+            self.graph(i)
+                .validate()
+                .map_err(|e| StoreError::Malformed(format!("graph {i}: {e}")))?;
         }
         let labels = self.typed::<u32>(SectionId::Labels)?;
         if labels.len() != m.num_graphs {
@@ -303,9 +312,10 @@ impl Store {
     }
 
     /// Materializes the full owned [`GraphDatabase`] — registries rebuilt
-    /// by interning the stored names in id order, graphs rebuilt through
-    /// the ordinary builder path. Bitwise identical to the database that
-    /// was stored; costs O(data), deliberately *not* part of the open path.
+    /// by interning the stored names in id order, graphs copied out of the
+    /// mapped columns ([`CsrGraph::to_graph`]). Bitwise identical to the
+    /// database that was stored; costs O(data), deliberately *not* part of
+    /// the open path.
     pub fn database(&self) -> GraphDatabase {
         gvex_obs::span!("store.materialize_db");
         let mut db = GraphDatabase::new(self.meta.class_names.clone());
@@ -319,12 +329,6 @@ impl Store {
             db.push(self.graph(i).to_graph(), label as usize);
         }
         db
-    }
-
-    /// Materializes every graph as an owned [`Graph`] without the database
-    /// wrapper (baseline loops that only need graphs).
-    pub fn graphs(&self) -> Vec<Graph> {
-        (0..self.num_graphs()).map(|i| self.graph(i).to_graph()).collect()
     }
 }
 

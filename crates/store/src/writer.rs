@@ -26,7 +26,7 @@ pub struct BuildInput<'a> {
     pub db: &'a GraphDatabase,
     /// The trained classifier whose weights are embedded.
     pub model: &'a GcnModel,
-    /// Serialized [`ExplanationViewSet`] JSON, if views were mined.
+    /// Serialized `ExplanationViewSet` JSON, if views were mined.
     pub views_json: Option<&'a str>,
     /// Dataset label recorded in the metadata (e.g. `"MUT"`).
     pub dataset: &'a str,

@@ -280,3 +280,84 @@ fn store_misaligned_section_is_typed() {
         other => panic!("expected Misaligned, got {other:?}"),
     }
 }
+
+/// A CSR column that passes every checksum but breaks the graph invariants
+/// (a neighbor id far past the node count) is a typed `Malformed` at open,
+/// not a panic when the graph is first read.
+#[test]
+fn store_out_of_range_target_is_typed() {
+    let fx = store_fixture();
+    let out_targets = SectionId::OutTargets as u32;
+    let (_, field_at, offset, len) = *section_table(&fx.bytes)
+        .iter()
+        .find(|(id, ..)| *id == out_targets)
+        .expect("out_targets section present");
+    assert!(len >= 4);
+    let mut bytes = fx.bytes.clone();
+    let at = offset as usize;
+    bytes[at..at + 4].copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
+    // re-sign the doctored section and the table so only the CSR check fires
+    let crc = crc32(&bytes[at..at + len as usize]);
+    let entry = field_at - 8;
+    bytes[entry + 24..entry + 28].copy_from_slice(&crc.to_le_bytes());
+    repatch_table_crc(&mut bytes);
+    match open_bytes("target", &bytes) {
+        Err(StoreError::Malformed(msg)) => {
+            assert!(msg.contains("graph 0") && msg.contains("out of range"), "{msg}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// The JSON wire form of graphs and views, byte for byte: one undirected
+/// and one directed graph with edge types, and a view holding induced
+/// subgraphs. The literals are the historical `{directed, node_types,
+/// features, out_adj, in_adj, num_edges}` encoding; decoding them must give
+/// back an equal value.
+#[test]
+fn graph_and_view_json_wire_form_is_pinned() {
+    use gvex::core::{ExplanationSubgraph, ExplanationView};
+    use gvex::graph::Graph;
+    let mut b = Graph::builder(false);
+    b.add_node(0, &[1.0, -0.5]);
+    b.add_node(2, &[0.25, 3.0]);
+    b.add_node(1, &[0.0, 1.5]);
+    b.add_edge(0, 1, 1);
+    b.add_edge(2, 1, 0);
+    b.add_edge(0, 2, 3);
+    let undirected = b.build();
+    let mut b = Graph::builder(true);
+    b.add_node(1, &[0.5]);
+    b.add_node(0, &[-2.0]);
+    b.add_node(1, &[4.0]);
+    b.add_edge(0, 1, 2);
+    b.add_edge(2, 1, 0);
+    b.add_edge(1, 2, 1);
+    let directed = b.build();
+    let view = ExplanationView {
+        label: 1,
+        patterns: vec![undirected.induced_subgraph(&[0, 1]).graph],
+        subgraphs: vec![ExplanationSubgraph {
+            graph_index: 4,
+            nodes: vec![0, 2],
+            subgraph: undirected.induced_subgraph(&[0, 2]).graph,
+            consistent: true,
+            counterfactual: false,
+            explainability: 0.375,
+        }],
+        edge_loss: 0.125,
+        explainability: 0.75,
+    };
+    const UNDIRECTED: &str = r#"{"directed":false,"node_types":[0,2,1],"features":{"rows":3,"cols":2,"data":[1.0,-0.5,0.25,3.0,0.0,1.5]},"out_adj":[[[1,1],[2,3]],[[0,1],[2,0]],[[0,3],[1,0]]],"in_adj":[[[1,1],[2,3]],[[0,1],[2,0]],[[0,3],[1,0]]],"num_edges":3}"#;
+    const DIRECTED: &str = r#"{"directed":true,"node_types":[1,0,1],"features":{"rows":3,"cols":1,"data":[0.5,-2.0,4.0]},"out_adj":[[[1,2]],[[2,1]],[[1,0]]],"in_adj":[[],[[0,2],[2,0]],[[1,1]]],"num_edges":3}"#;
+    const VIEW: &str = r#"{"label":1,"patterns":[{"directed":false,"node_types":[0,2],"features":{"rows":2,"cols":2,"data":[1.0,-0.5,0.25,3.0]},"out_adj":[[[1,1]],[[0,1]]],"in_adj":[[[1,1]],[[0,1]]],"num_edges":1}],"subgraphs":[{"graph_index":4,"nodes":[0,2],"subgraph":{"directed":false,"node_types":[0,1],"features":{"rows":2,"cols":2,"data":[1.0,-0.5,0.0,1.5]},"out_adj":[[[1,3]],[[0,3]]],"in_adj":[[[1,3]],[[0,3]]],"num_edges":1},"consistent":true,"counterfactual":false,"explainability":0.375}],"edge_loss":0.125,"explainability":0.75}"#;
+    for (g, want) in [(&undirected, UNDIRECTED), (&directed, DIRECTED)] {
+        assert_eq!(serde_json::to_string(g).unwrap(), want);
+        assert_eq!(&serde_json::from_str::<Graph>(want).unwrap(), g);
+    }
+    assert_eq!(serde_json::to_string(&view).unwrap(), VIEW);
+    let back: ExplanationView = serde_json::from_str(VIEW).unwrap();
+    assert_eq!(back.patterns, view.patterns);
+    assert_eq!(back.subgraphs[0].subgraph, view.subgraphs[0].subgraph);
+    assert_eq!(serde_json::to_string(&back).unwrap(), VIEW);
+}
